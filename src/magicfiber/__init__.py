@@ -9,7 +9,6 @@ tables for minimal dilatations of genus-g, n-punctured surfaces, and the
 asymptotics module verifies the expected root growth over finite sweeps.
 """
 
-from ._kernel import KERNEL_BACKEND
 from .asymptotics import (
     BracketReport,
     PolyFamily,
@@ -66,6 +65,9 @@ from .roots import (
 from .sturm import STURM_DEGREE_CAP, sturm_count
 
 __version__ = "0.1.0"
+
+# The kernel is pure Python only; the name stays because run records report it.
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "__version__",

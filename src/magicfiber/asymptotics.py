@@ -17,11 +17,11 @@ outward-rounded integer interval powers of the certified bracket endpoints
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernel import pow_enclosure
+from ._pool import pmap
 from .polynomials import SparsePoly, make_poly
 from .roots import (
     DEFAULT_TOL,
@@ -174,10 +174,6 @@ def _bracket_ok(fam: PolyFamily, m: int, c1: Fraction, c2: Fraction, tol) -> boo
     return s2 < 0
 
 
-def _bracket_ok_args(args) -> bool:
-    return _bracket_ok(*args)
-
-
 def bracket_check(
     fam: PolyFamily,
     c_lower,
@@ -196,13 +192,7 @@ def bracket_check(
         raise ValueError("need 1 <= m_lo <= m_hi")
     tol = _as_tol(tol)
     ms = range(m_lo, m_hi + 1)
-    if jobs <= 1:
-        oks = [_bracket_ok(fam, m, c1, c2, tol) for m in ms]
-    else:
-        tasks = [(fam, m, c1, c2, tol) for m in ms]
-        chunk = max(1, len(tasks) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            oks = list(ex.map(_bracket_ok_args, tasks, chunksize=chunk))
+    oks = pmap(_bracket_ok, [(fam, m, c1, c2, tol) for m in ms], jobs)
     failures = tuple(m for m, ok in zip(ms, oks) if not ok)
     return BracketReport(c_lower=c1, c_upper=c2, m_lo=m_lo, m_hi=m_hi, failures=failures)
 
@@ -247,10 +237,6 @@ def _ratio_row(fam: PolyFamily, m: int, q: Fraction, v: Fraction, tol) -> RatioR
     return RatioRow(m=m, n=n, root=root, ratio_lo=lo, ratio_hi=hi)
 
 
-def _ratio_row_args(args) -> RatioRow:
-    return _ratio_row(*args)
-
-
 def ratio_table(
     fam: PolyFamily, q, v, m_list, tol=DEFAULT_TOL, jobs: int = 1
 ) -> RatioTable:
@@ -264,12 +250,7 @@ def ratio_table(
         if q * m + v <= 1:
             raise ValueError(f"q*m+v must exceed 1 (fails at m={m})")
     tol = _as_tol(tol)
-    if jobs <= 1 or len(ms) <= 1:
-        rows = [_ratio_row(fam, m, q, v, tol) for m in ms]
-    else:
-        tasks = [(fam, m, q, v, tol) for m in ms]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_ratio_row_args, tasks))
+    rows = pmap(_ratio_row, [(fam, m, q, v, tol) for m in ms], jobs)
     decreasing = all(
         rows[i + 1].ratio_hi < rows[i].ratio_lo for i in range(len(rows) - 1)
     )

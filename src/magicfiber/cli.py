@@ -149,6 +149,16 @@ def _parse_points(text: str) -> list[int]:
     return pts
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _record(command, inputs, tol_text, max_bits, columns, rows, info=None, summary=None):
     rec = {
         "schema_version": SCHEMA_VERSION,
@@ -418,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="precision ceiling for sign certification")
     common.add_argument("--format", choices=("plain", "csv", "json"),
                         default="plain", help="output format")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes; never affects output bytes")
+    common.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker processes (at least 1, capped at the CPU count); "
+                             "never affects output bytes")
 
     parser = argparse.ArgumentParser(
         prog="magicfiber",

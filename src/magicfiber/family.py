@@ -20,9 +20,9 @@ with the O(g) gcd scan kept in ``condition_star_brute`` as an oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from ._pool import pmap
 from .homology import FiberData, FiberedClass, NotPrimitiveError
 from .polynomials import family_poly
 from .roots import (
@@ -305,10 +305,6 @@ def _smaller_bound(g, cand_a, cand_b, tol):
     return (pa, fa, ra) if pa < pb else (pb, fb, rb)
 
 
-def _bound_row_args(args) -> BoundRow:
-    return bound_row(*args)
-
-
 def upper_bound_table(
     g: int, n_min: int, n_max: int, tol=DEFAULT_TOL, jobs: int = 1
 ) -> list[BoundRow]:
@@ -318,10 +314,4 @@ def upper_bound_table(
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     tol = _as_tol(tol)
-    ns = range(n_min, n_max + 1)
-    if jobs <= 1:
-        return [bound_row(g, n, tol) for n in ns]
-    tasks = [(g, n, tol) for n in ns]
-    chunk = max(1, len(tasks) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(_bound_row_args, tasks, chunksize=chunk))
+    return pmap(bound_row, [(g, n, tol) for n in range(n_min, n_max + 1)], jobs)

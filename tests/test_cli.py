@@ -151,6 +151,17 @@ class TestDeterminism:
         assert out1 == out8
 
 
+class TestJobsValidation:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv", [("bounds", "-g", "2", "-n", "3..5"), ("verify", "roots")]
+    )
+    def test_jobs_below_one_is_usage_error(self, argv, jobs):
+        code, out = run_cli(*argv, "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+
+
 class TestVerifyCommand:
     def test_selected_fast_suites(self):
         code, out = run_cli("verify", "roots", "identity")
