@@ -42,10 +42,11 @@ __all__ = [
     "ratio_table",
 ]
 
-# Display padding for log-based ratio bounds: absolute float error of the
-# conversions and logs is ~1e-15; the root bracket dominates by orders of
-# magnitude at default tolerance.
-_RATIO_PAD = 1e-11
+# Relative padding for the log-based ratio bounds.  Each float below is a
+# correctly rounded exact value (lambda - 1, n - 1, n) or a log1p, product or
+# quotient of such; together they err by a few ulps (~1e-15 relative), well
+# inside the pad at every tol.
+_RATIO_PAD = 1e-13
 
 
 def _as_fraction(x) -> Fraction:
@@ -223,11 +224,13 @@ class RatioTable:
 
 
 def _ratio_bounds(n: Fraction, root: CertifiedRoot) -> tuple[float, float]:
+    # log1p of the exact lambda - 1 keeps its relative precision; log of a
+    # rounded lambda near 1 would not.  Both bounds are >= 0 since lo >= 1.
     nf = float(n)
-    ln = math.log(nf)
-    lo = nf * math.log(float(root.lo)) / ln
-    hi = nf * math.log(float(root.hi)) / ln
-    return lo - _RATIO_PAD, hi + _RATIO_PAD
+    ln = math.log1p(float(n - 1))
+    lo = nf * math.log1p(float(root.lo - 1)) / ln
+    hi = nf * math.log1p(float(root.hi - 1)) / ln
+    return lo * (1 - _RATIO_PAD), hi * (1 + _RATIO_PAD)
 
 
 def _ratio_row(fam: PolyFamily, m: int, q: Fraction, v: Fraction, tol) -> RatioRow:

@@ -49,6 +49,7 @@ from .roots import DEFAULT_MAX_BITS, PrecisionError, unique_root_gt1
 from .verify import SUITES, run_suites
 
 SCHEMA_VERSION = "1"
+DEFAULT_TOL_TEXT = "1e-12"  # roots.DEFAULT_TOL as typed on the command line
 
 # Hyperbolic volume of the magic manifold (cited constant, informational
 # only: every witnessed bound is realized by a bundle obtained from the
@@ -77,7 +78,7 @@ COLUMNS = {
         "largest_failure", "threshold", "holds_tail", "failures",
     ],
     "asymp_ratio": ["m", "n", "lambda_lo", "lambda_hi", "ratio_lo", "ratio_hi"],
-    "verify": ["suite", "passed", "detail", "elapsed_s"],
+    "verify": ["suite", "passed", "detail"],
 }
 
 
@@ -159,12 +160,17 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _record(command, inputs, tol_text, max_bits, columns, rows, info=None, summary=None):
+def _record(command, inputs, args, columns, rows, info=None, summary=None):
+    # A subcommand without --tol or --max-bits runs at the package default,
+    # so that default is the value echoed.
     rec = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": inputs,
-        "tolerances": {"tol": tol_text, "max_bits": max_bits},
+        "tolerances": {
+            "tol": getattr(args, "tol", DEFAULT_TOL_TEXT),
+            "max_bits": getattr(args, "max_bits", DEFAULT_MAX_BITS),
+        },
     }
     if info:
         rec["info"] = info
@@ -229,20 +235,18 @@ def cmd_class(args, out) -> int:
     }
     inputs = {"x": fc.x, "y": fc.y, "z": fc.z}
     if args.norm_only:
-        rec = _record("class", inputs, args.tol, args.max_bits,
-                      COLUMNS["class_norm_only"], [base])
+        rec = _record("class", inputs, args, COLUMNS["class_norm_only"], [base])
         _emit(rec, args.format, out)
         return 0
     if fc.coords() == (0, 0, 0):
-        rec = _record("class", inputs, args.tol, args.max_bits,
-                      COLUMNS["class_norm_only"], [base])
+        rec = _record("class", inputs, args, COLUMNS["class_norm_only"], [base])
         _emit(rec, args.format, out)
         print("error: the zero class is not fibered (primitivity undefined)",
               file=sys.stderr)
         return 2
     base["primitive"] = is_primitive(fc)
     if not base["in_cone"] or not base["primitive"]:
-        rec = _record("class", inputs, args.tol, args.max_bits,
+        rec = _record("class", inputs, args,
                       COLUMNS["class_norm_only"] + ["primitive"], [base])
         _emit(rec, args.format, out)
         print(f"error: {fc.coords()} has no fiber data "
@@ -262,7 +266,7 @@ def cmd_class(args, out) -> int:
     base["lambda_lo"] = lo
     base["lambda_hi"] = hi
     base["lambda"] = val
-    rec = _record("class", inputs, args.tol, args.max_bits, COLUMNS["class"], [base])
+    rec = _record("class", inputs, args, COLUMNS["class"], [base])
     _emit(rec, args.format, out)
     return 0
 
@@ -297,7 +301,7 @@ def cmd_family(args, out) -> int:
             )
         rows.append(row)
     rec = _record(
-        "family", {"g": args.genus, "p_max": args.p_max}, args.tol, args.max_bits,
+        "family", {"g": args.genus, "p_max": args.p_max}, args,
         COLUMNS["family"], rows,
         info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME},
     )
@@ -326,7 +330,7 @@ def cmd_bounds(args, out) -> int:
             cells["lambda"] = val
         rows.append(cells)
     rec = _record(
-        "bounds", {"g": args.genus, "n": args.punctures}, args.tol, args.max_bits,
+        "bounds", {"g": args.genus, "n": args.punctures}, args,
         COLUMNS["bounds"], rows,
         info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME},
     )
@@ -341,8 +345,7 @@ def cmd_star(args, out) -> int:
     for g in range(2, args.max + 1):
         holds, witness = condition_star(g)
         rows.append({"g": g, "holds": holds, "witness_s": witness})
-    rec = _record("star", {"g_max": args.max}, args.tol, args.max_bits,
-                  COLUMNS["star"], rows,
+    rec = _record("star", {"g_max": args.max}, args, COLUMNS["star"], rows,
                   info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME})
     _emit(rec, args.format, out)
     return 0
@@ -369,7 +372,7 @@ def cmd_asymp(args, out) -> int:
         rec = _record(
             "asymp", {"mode": "bracket", "g": args.genus, "c1": args.c1,
                       "c2": args.c2, "m": args.m_range},
-            args.tol, args.max_bits, COLUMNS["asymp_bracket"], [row],
+            args, COLUMNS["asymp_bracket"], [row],
             info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME},
         )
         _emit(rec, args.format, out)
@@ -391,7 +394,7 @@ def cmd_asymp(args, out) -> int:
     rec = _record(
         "asymp", {"mode": "ratio", "g": args.genus, "q": args.q, "v": args.v,
                   "points": args.points},
-        args.tol, args.max_bits, COLUMNS["asymp_ratio"], rows,
+        args, COLUMNS["asymp_ratio"], rows,
         info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME},
         summary={
             "strictly_decreasing": table.strictly_decreasing,
@@ -404,33 +407,28 @@ def cmd_asymp(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     results = run_suites(args.suites, jobs=args.jobs)
-    rows = [
-        {
-            "suite": r.name,
-            "passed": r.passed,
-            "detail": r.detail,
-            "elapsed_s": f"{r.elapsed:.2f}",
-        }
-        for r in results
-    ]
-    rec = _record("verify", {"suites": " ".join(args.suites)}, args.tol,
-                  args.max_bits, COLUMNS["verify"], rows,
-                  info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME})
+    rows = [{"suite": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    rec = _record("verify", {"suites": " ".join(args.suites)}, args, COLUMNS["verify"],
+                  rows, info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME})
     _emit(rec, args.format, out)
     return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", default="1e-12",
-                        help="root bracket half-width (decimal or fraction)")
-    common.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS,
-                        help="precision ceiling for sign certification")
-    common.add_argument("--format", choices=("plain", "csv", "json"),
-                        default="plain", help="output format")
-    common.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes (at least 1, capped at the CPU count); "
-                             "never affects output bytes")
+    # Each subcommand takes only the shared flags it applies.
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", default=DEFAULT_TOL_TEXT,
+                     help="root bracket half-width (decimal or fraction)")
+    max_bits = argparse.ArgumentParser(add_help=False)
+    max_bits.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS,
+                          help="precision ceiling for sign certification")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("plain", "csv", "json"),
+                     default="plain", help="output format")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=_positive_int, default=1,
+                      help="worker processes (at least 1, capped at the CPU count); "
+                           "never affects output bytes")
 
     parser = argparse.ArgumentParser(
         prog="magicfiber",
@@ -441,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser(
-        "class", parents=[common],
+        "class", parents=[tol, max_bits, fmt],
         help="analyze a single integral class (x, y, z)",
         epilog="CSV columns: " + ",".join(COLUMNS["class"]) +
                " (reduced to " + ",".join(COLUMNS["class_norm_only"]) +
@@ -455,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_class)
 
     sp = sub.add_parser(
-        "family", parents=[common],
+        "family", parents=[tol, max_bits, fmt],
         help="the (g, p) class family for p = 0..P",
         epilog="CSV columns: " + ",".join(COLUMNS["family"]),
     )
@@ -464,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_family)
 
     sp = sub.add_parser(
-        "bounds", parents=[common],
+        "bounds", parents=[tol, fmt, jobs],
         help="certified upper bounds for minimal dilatations at genus g",
         epilog="CSV columns: " + ",".join(COLUMNS["bounds"]),
     )
@@ -474,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser(
-        "star", parents=[common],
+        "star", parents=[fmt],
         help="coprimality condition on 2g+1 for g = 2..MAX",
         epilog="CSV columns: " + ",".join(COLUMNS["star"]),
     )
@@ -482,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_star)
 
     sp = sub.add_parser(
-        "asymp", parents=[common],
+        "asymp", parents=[tol, fmt, jobs],
         help="asymptotic sweeps for the (g, p) family",
         epilog="CSV columns (bracket): " + ",".join(COLUMNS["asymp_bracket"]) +
                "; (ratio): " + ",".join(COLUMNS["asymp_ratio"]),
@@ -499,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_asymp)
 
     sp = sub.add_parser(
-        "verify", parents=[common],
+        "verify", parents=[fmt, jobs],
         help="run invariant suites: " + " ".join(SUITES) + " (or: all)",
         epilog="CSV columns: " + ",".join(COLUMNS["verify"]),
     )

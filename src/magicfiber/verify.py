@@ -3,16 +3,15 @@
 Each suite checks one block of the package's contract (known-value root
 regressions, the polynomial identity, the topology closed forms, Descartes
 and Sturm counts, the coprimality condition, bound tables, asymptotics) and
-reports one pass/fail line.  The pytest acceptance module drives the same
-ground at its stated tolerances; these suites exist so a built artifact can
-be interrogated without a test harness.
+reports one pass/fail line.  They are the only checkers of these claims:
+acceptance criteria 1-6 call suites 1-6 and assert their verdicts.  Suites
+report no timings, so their output is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -33,7 +32,7 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
+    counts: dict[str, int]  # sizes of the sweep, for the acceptance guards
 
 
 def iter_cone_classes(max_norm: int) -> Iterator[tuple[int, int, int]]:
@@ -66,10 +65,9 @@ def sample_cone_classes(
 
 def suite_roots() -> SuiteResult:
     """Point regressions for the certified root finder."""
-    t0 = time.perf_counter()
     failures = []
     quartic = polynomials.make_poly([(4, 1), (3, -2), (1, -2), (0, 1)])
-    r = roots.unique_root_gt1(quartic, Fraction(1, 10**4))
+    r = roots.unique_root_gt1(quartic, Fraction(1, 10**6))
     if abs(r.value - Fraction("2.2966")) > Fraction("5e-4"):
         failures.append(f"quartic root {float(r.value)} not within 5e-4 of 2.2966")
     quad = polynomials.make_poly([(2, 1), (1, -4), (0, 1)])
@@ -79,25 +77,25 @@ def suite_roots() -> SuiteResult:
     # |value - (2+sqrt(3))| <= 1e-9  iff  sqrt(3) lies in [lo_off, hi_off]
     if not (lo_off > 0 and lo_off * lo_off < 3 < hi_off * hi_off):
         failures.append(f"quadratic root {float(r.value)} not within 1e-9 of 2+sqrt(3)")
-    return _result("roots", failures, t0, "2 regressions")
+    return _result("roots", failures, "2 regressions")
 
 
 def suite_identity(max_g: int = 50, max_p: int = 50) -> SuiteResult:
     """family_poly(g,p) == dilatation_poly((p+g+1, 2p+1, p-g)) exactly."""
-    t0 = time.perf_counter()
     failures = []
+    checked = 0
     for g in range(max_g + 1):
         for p in range(max_p + 1):
             got = polynomials.family_poly(g, p)
             want = polynomials.dilatation_poly((p + g + 1, 2 * p + 1, p - g))
+            checked += 1
             if got != want:
                 failures.append(f"(g,p)=({g},{p}): {got} != {want}")
-    return _result("identity", failures, t0, f"{(max_g + 1) * (max_p + 1)} pairs")
+    return _result("identity", failures, f"{checked} pairs", pairs=checked)
 
 
 def suite_topology(max_norm: int = 60, max_gp: int = 60) -> SuiteResult:
     """Fiber-data invariants on a full sweep, plus the closed-form cross-oracle."""
-    t0 = time.perf_counter()
     failures = []
     checked = 0
     for c in iter_cone_classes(max_norm):
@@ -124,15 +122,20 @@ def suite_topology(max_norm: int = 60, max_gp: int = 60) -> SuiteResult:
             pairs += 1
             if family.family_fiber_data(g, p) != homology.fiber_data(fc.fibered_class):
                 failures.append(f"(g,p)=({g},{p}): closed form disagrees")
-    return _result("topology", failures, t0, f"{checked} classes, {pairs} (g,p) pairs")
+    return _result(
+        "topology", failures, f"{checked} classes, {pairs} (g,p) pairs",
+        classes=checked, pairs=pairs,
+    )
 
 
 def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
     """Descartes count 2 and Sturm counts (2 positive, 1 above t=1) on samples."""
-    t0 = time.perf_counter()
     failures = []
     for c in sample_cone_classes(samples, max_norm=100, seed=seed):
         f = polynomials.dilatation_poly(c)
+        if f.degree() > sturm.STURM_DEGREE_CAP:
+            failures.append(f"{c}: degree {f.degree()} exceeds the Sturm cap")
+            break
         if polynomials.sign_variations(f) != 2:
             failures.append(f"{c}: sign variations != 2")
         if sturm.sturm_count(f, 0, None) != 2:
@@ -141,12 +144,11 @@ def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
             failures.append(f"{c}: root count above 1 != 1")
         if len(failures) > 5:
             break
-    return _result("rootcount", failures, t0, f"{samples} sampled classes")
+    return _result("rootcount", failures, f"{samples} sampled classes")
 
 
 def suite_star(equiv_max: int = 10_000, brute_max: int = 2_000) -> SuiteResult:
     """Anchors, reduced-range equivalence, and brute-force oracle agreement."""
-    t0 = time.perf_counter()
     failures = []
     if family.condition_star(4) != (True, None):
         failures.append("g=4 should satisfy the condition")
@@ -164,7 +166,7 @@ def suite_star(equiv_max: int = 10_000, brute_max: int = 2_000) -> SuiteResult:
         if family.condition_star_brute(g, full_period=True)[0] != want[0]:
             failures.append(f"g={g}: full-period verdict disagrees")
             break
-    return _result("star", failures, t0, f"g <= {equiv_max}")
+    return _result("star", failures, f"g <= {equiv_max}")
 
 
 def suite_bounds(
@@ -174,7 +176,6 @@ def suite_bounds(
     jobs: int = 1,
 ) -> SuiteResult:
     """Every n gets a witness for the listed g; g=7 shows primitivity pruning."""
-    t0 = time.perf_counter()
     failures = []
     for g in gs:
         rows = family.upper_bound_table(g, n_min, n_max, jobs=jobs)
@@ -184,7 +185,7 @@ def suite_bounds(
     rows7 = family.upper_bound_table(7, n_min, n_max, jobs=jobs)
     if not any(row.pruned_p for row in rows7):
         failures.append("g=7: expected primitivity-pruned candidates")
-    return _result("bounds", failures, t0, f"g in {gs} and 7, n <= {n_max}")
+    return _result("bounds", failures, f"g in {gs} and 7, n <= {n_max}")
 
 
 def suite_asymp(jobs: int = 1) -> SuiteResult:
@@ -195,7 +196,6 @@ def suite_asymp(jobs: int = 1) -> SuiteResult:
     wide (0.5, 2.0) bracket holds over the whole sweep while the narrow
     (0.9, 1.1) one cannot have a smaller threshold (monotonicity).
     """
-    t0 = time.perf_counter()
     failures = []
     fam = asymptotics.b_family(2)
     table = asymptotics.ratio_table(fam, 2, 4, [10, 100, 1000, 10000], jobs=jobs)
@@ -216,14 +216,11 @@ def suite_asymp(jobs: int = 1) -> SuiteResult:
     narrow_thr = narrow.threshold if narrow.threshold is not None else float("inf")
     if not wide.threshold <= narrow_thr:
         failures.append("bracket threshold monotonicity violated")
-    return _result("asymp", failures, t0, "certified trends and bracket thresholds")
+    return _result("asymp", failures, "certified trends and bracket thresholds")
 
 
-def _result(name, failures, t0, scope) -> SuiteResult:
-    elapsed = time.perf_counter() - t0
-    if failures:
-        return SuiteResult(name, False, "; ".join(failures[:6]), elapsed)
-    return SuiteResult(name, True, scope, elapsed)
+def _result(name, failures, scope, **counts) -> SuiteResult:
+    return SuiteResult(name, not failures, "; ".join(failures[:6]) or scope, counts)
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {
@@ -239,18 +236,12 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 def run_suites(names, jobs: int = 1) -> list[SuiteResult]:
     """Run the named suites ("all" for every one) in registry order."""
-    if names in (["all"], ("all",), "all"):
-        selected = list(SUITES)
-    else:
-        selected = list(names)
-        unknown = [n for n in selected if n not in SUITES]
-        if unknown:
-            raise ValueError(f"unknown suites: {unknown}; choose from {list(SUITES)}")
-    out = []
-    for name in selected:
-        fn = SUITES[name]
-        if name in ("bounds", "asymp"):
-            out.append(fn(jobs=jobs))
-        else:
-            out.append(fn())
-    return out
+    selected = list(SUITES) if names in (["all"], ("all",), "all") else list(names)
+    unknown = [n for n in selected if n not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suites: {unknown}; choose from {list(SUITES)}")
+    # Looked up at call time, so a wrapper installed in SUITES is the one run.
+    return [
+        SUITES[name](jobs=jobs) if name in ("bounds", "asymp") else SUITES[name]()
+        for name in selected
+    ]

@@ -49,29 +49,9 @@ import json
 import math
 import time
 from contextlib import redirect_stdout
-from fractions import Fraction
 
-from magicfiber import (
-    b_family,
-    bracket_check,
-    condition_star,
-    condition_star_brute,
-    condition_star_star,
-    dilatation_poly,
-    family_class,
-    family_fiber_data,
-    family_poly,
-    fiber_data,
-    euler_poincare_check,
-    make_poly,
-    ratio_table,
-    sign_variations,
-    sturm_count,
-    unique_root_gt1,
-    upper_bound_table,
-)
+from magicfiber import b_family, bracket_check, ratio_table, verify
 from magicfiber.cli import main as cli_main
-from magicfiber.verify import iter_cone_classes, sample_cone_classes
 
 
 def _report(num, label, t0, budget):
@@ -80,87 +60,52 @@ def _report(num, label, t0, budget):
     print(f"ACCEPTANCE criterion {num} PASS ({label}, {elapsed:.2f}s)")
 
 
+# Criteria 1-6 run the `verify` suites; the tests add budgets and sweep guards.
+
+
 def test_criterion_1_root_regression():
     t0 = time.perf_counter()
-    quartic = make_poly([(4, 1), (3, -2), (1, -2), (0, 1)])
-    r = unique_root_gt1(quartic, Fraction(1, 10**6))
-    assert abs(r.value - Fraction("2.2966")) <= Fraction("5e-4")
-    quad = make_poly([(2, 1), (1, -4), (0, 1)])
-    r = unique_root_gt1(quad, Fraction(1, 10**10))
-    lo_off = r.value - 2 - Fraction(1, 10**9)
-    hi_off = r.value - 2 + Fraction(1, 10**9)
-    assert lo_off > 0 and lo_off**2 < 3 < hi_off**2  # within 1e-9 of 2+sqrt(3)
+    result = verify.suite_roots()
+    assert result.passed, result.detail
     _report(1, "root regressions", t0, 1.0)
 
 
 def test_criterion_2_polynomial_identity():
     t0 = time.perf_counter()
-    checked = 0
-    for g in range(51):
-        for p in range(51):
-            assert family_poly(g, p) == dilatation_poly(
-                (p + g + 1, 2 * p + 1, p - g)
-            )
-            checked += 1
-    assert checked == 2601
+    result = verify.suite_identity()
+    assert result.passed, result.detail
+    assert result.counts["pairs"] == 2601
     _report(2, "2601 identities", t0, 5.0)
 
 
 def test_criterion_3_topology_oracle():
     t0 = time.perf_counter()
-    swept = 0
-    for c in iter_cone_classes(60):
-        fd = fiber_data(c)
-        assert fd.n_total == fd.b_alpha + fd.b_beta + fd.b_gamma
-        assert (fd.norm - fd.n_total) % 2 == 0 and fd.genus >= 0
-        assert 2 * fd.genus == 2 - fd.n_total + fd.norm
-        assert euler_poincare_check(fd)
-        swept += 1
+    result = verify.suite_topology()
+    assert result.passed, result.detail
+    swept, pairs = result.counts["classes"], result.counts["pairs"]
     assert swept > 10_000
-    pairs = 0
-    for g in range(61):
-        for p in range(61):
-            fc = family_class(g, p)
-            if fc.primitive:
-                assert family_fiber_data(g, p) == fiber_data(fc.fibered_class)
-                pairs += 1
     assert pairs > 1000
     _report(3, f"{swept} classes, {pairs} family pairs", t0, 30.0)
 
 
 def test_criterion_4_root_count_property():
     t0 = time.perf_counter()
-    classes = sample_cone_classes(500, max_norm=100)
-    for c in classes:
-        f = dilatation_poly(c)
-        assert f.degree() <= 200
-        assert sign_variations(f) == 2
-        assert sturm_count(f, 0, None) == 2
-        assert sturm_count(f, 1, None) == 1
+    result = verify.suite_rootcount()
+    assert result.passed, result.detail
     _report(4, "500 sampled classes", t0, 60.0)
 
 
 def test_criterion_5_condition_star():
     t0 = time.perf_counter()
-    assert condition_star(4) == (True, None)
-    assert condition_star(7) == (False, 5)
-    for g in range(5, 10_001):
-        assert condition_star(g)[0] == condition_star_star(g)
-    for g in range(2, 2_001):
-        direct = condition_star_brute(g)
-        assert condition_star(g) == direct
-        assert condition_star_brute(g, full_period=True)[0] == direct[0]
+    result = verify.suite_star()
+    assert result.passed, result.detail
     _report(5, "g <= 10000 equivalence, g <= 2000 oracle", t0, 10.0)
 
 
 def test_criterion_6_bound_tables():
     t0 = time.perf_counter()
-    for g in (2, 3, 4, 5, 6, 8, 9):
-        rows = upper_bound_table(g, 3, 500)
-        missing = [row.n for row in rows if row.record is None]
-        assert not missing, f"g={g}: no witness for n in {missing[:5]}"
-    rows7 = upper_bound_table(7, 3, 500)
-    assert any(row.pruned_p for row in rows7)
+    result = verify.suite_bounds()
+    assert result.passed, result.detail
     _report(6, "g in {2..6,8,9} full, g=7 pruned", t0, 120.0)
 
 

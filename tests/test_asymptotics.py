@@ -139,6 +139,31 @@ class TestRatioTable:
             coarse.rows[0].ratio_hi - coarse.rows[0].ratio_lo
         )
 
+    def test_bounds_contain_the_mpmath_ratio_at_tight_tol(self):
+        # At tol 1e-20 the bracket is far narrower than a float's rounding of
+        # n*log(lambda)/log(n), so only the outward rounding keeps the ratio.
+        mpmath = pytest.importorskip("mpmath")
+        fam = b_family(2)
+        table = ratio_table(fam, 2, 4, [10**6, 10**6 + 3], tol=Fraction(1, 10**20))
+
+        def mpf(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        with mpmath.workprec(200):
+            for row in table.rows:
+                terms = fam.instantiate(row.m).terms
+                lo, hi, n = mpf(row.root.lo), mpf(row.root.hi), mpf(row.n)
+                lam = mpmath.findroot(
+                    lambda t: mpmath.fsum(c * t**e for e, c in terms), (lo, hi),
+                    solver="anderson",
+                )
+                assert lo <= lam <= hi
+                ratio = n * mpmath.log(lam) / mpmath.log(n)
+                assert row.ratio_lo <= ratio <= row.ratio_hi, (
+                    f"m={row.m}: {mpmath.nstr(ratio, 16)} outside "
+                    f"[{row.ratio_lo!r}, {row.ratio_hi!r}]"
+                )
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             ratio_table(b_family(2), 0, 4, [10])

@@ -162,11 +162,38 @@ class TestJobsValidation:
         assert out == ""
 
 
+class TestFlagSets:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "-g", "2", "-n", "3..4", "--max-bits", "8"),
+            ("star", "--tol", "1e-3"),
+            ("class", "3", "1", "-2", "--jobs", "2"),
+        ],
+    )
+    def test_flag_not_applied_is_usage_error(self, argv):
+        code, out = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+
+    def test_echo_is_the_value_in_force(self):
+        _, out = run_cli("star", "--max", "3", "--format", "json")
+        assert json.loads(out)["tolerances"] == {"tol": "1e-12", "max_bits": 2**20}
+        _, out = run_cli("class", "3", "1", "-2", "--tol", "1e-6", "--max-bits", "256",
+                         "--format", "json")
+        assert json.loads(out)["tolerances"] == {"tol": "1e-6", "max_bits": 256}
+
+
 class TestVerifyCommand:
     def test_selected_fast_suites(self):
         code, out = run_cli("verify", "roots", "identity")
         assert code == 0
         assert "roots" in out and "identity" in out
+
+    def test_output_is_reproducible(self):
+        first = run_cli("verify", "roots", "identity", "--format", "json")
+        assert first[0] == 0
+        assert run_cli("verify", "roots", "identity", "--format", "json") == first
 
     def test_unknown_suite(self):
         code, _ = run_cli("verify", "nonsense")
