@@ -161,16 +161,21 @@ def _positive_int(text: str) -> int:
 
 
 def _record(command, inputs, args, columns, rows, info=None, summary=None):
-    # A subcommand without --tol or --max-bits runs at the package default,
-    # so that default is the value echoed.
+    # A subcommand with --tol isolates roots at it; without --max-bits it
+    # runs at the package ceiling, so that is the value echoed.  One without
+    # --tol applies neither (star isolates nothing, the verify suites use
+    # their own tols), so it echoes none.
+    tolerances = {}
+    if hasattr(args, "tol"):
+        tolerances = {
+            "tol": args.tol,
+            "max_bits": getattr(args, "max_bits", DEFAULT_MAX_BITS),
+        }
     rec = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": inputs,
-        "tolerances": {
-            "tol": getattr(args, "tol", DEFAULT_TOL_TEXT),
-            "max_bits": getattr(args, "max_bits", DEFAULT_MAX_BITS),
-        },
+        "tolerances": tolerances,
     }
     if info:
         rec["info"] = info
@@ -212,7 +217,8 @@ def _emit(record, fmt, stream) -> None:
     for key, val in record["inputs"].items():
         stream.write(f"# {key}: {val}\n")
     tols = record["tolerances"]
-    stream.write(f"# tol: {tols['tol']}  max_bits: {tols['max_bits']}\n")
+    if tols:
+        stream.write(f"# tol: {tols['tol']}  max_bits: {tols['max_bits']}\n")
     for key, val in record.get("info", {}).items():
         stream.write(f"# {key}: {val}\n")
     grid = [columns] + [[_cell_text(row.get(c)) for c in columns] for row in rows]

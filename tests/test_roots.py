@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from magicfiber import roots
 from magicfiber import (
     PrecisionError,
     dilatation_poly,
@@ -140,3 +141,120 @@ class TestUniqueRoot:
             assert sturm_count(f, 1, r.lo) == 0
             assert sturm_count(f, 1, r.hi) == 1
             assert sturm_count(f, r.lo, r.hi) == 1
+
+
+GUESS_TOLS = [
+    Fraction(1, 10),
+    Fraction(1, 10**4),
+    Fraction(1, 10**12),
+    Fraction(1, 10**30),
+    Fraction(1, 2**100),
+]
+
+
+def bracket(f, tol):
+    r = unique_root_gt1(f, tol)
+    return (r.lo, r.hi, r.value)
+
+
+def reference_bracket(f, tol):
+    """The bracket of bisection from (1, b), the path without an estimate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_estimate_root", lambda exps, coeffs: None)
+        return bracket(f, tol)
+
+
+class TestGuessedStart:
+    """The start cell the estimate predicts changes no bit of any bracket."""
+
+    @pytest.mark.parametrize("g", range(8))
+    def test_family_small_p(self, g):
+        for p in list(range(61)) + [250, 10**4]:
+            f = family_poly(g, p)
+            for tol in GUESS_TOLS:
+                assert bracket(f, tol) == reference_bracket(f, tol), (g, p, tol)
+
+    @pytest.mark.parametrize(
+        "g,tol",
+        [
+            # lambda - 1 < 2*tol: the start cell has index 0 and bisection
+            # goes on past the tol level until the lower end exceeds 1
+            (2, Fraction(1, 10**3)),
+            (2, Fraction(1, 10**12)),
+            (7, Fraction(1, 2**100)),
+        ],
+    )
+    def test_family_p_1e6(self, g, tol):
+        f = family_poly(g, 10**6)
+        assert bracket(f, tol) == reference_bracket(f, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 60),
+        st.integers(-60, 59),
+        st.sampled_from(GUESS_TOLS),
+    )
+    def test_random_cone_classes(self, x, y, z, tol):
+        z = min(z, x - 1, y - 1)
+        f = dilatation_poly((x, y, z))
+        assert bracket(f, tol) == reference_bracket(f, tol)
+
+    def test_grid_level_is_the_least_level_within_two_tol(self):
+        for tol in GUESS_TOLS + [Fraction(1, 2), Fraction(3, 4), Fraction(5), Fraction(1, 3)]:
+            j = roots._grid_level(tol)
+            assert Fraction(1, 2**j) <= 2 * tol
+            assert j == 0 or Fraction(1, 2 ** (j - 1)) > 2 * tol
+
+
+class TestWrongGuess:
+    """A start cell or estimate that is wrong cannot change the answer."""
+
+    POLYS = [family_poly(2, 10), family_poly(3, 60), dilatation_poly((9, 8, -5))]
+
+    @pytest.mark.parametrize("shift", [1, -1, 3, -3, 10**6, -(10**6), "coarser"])
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**12), Fraction(1, 10**30)])
+    def test_shifted_start_cell(self, monkeypatch, shift, tol):
+        start_cell = roots._start_cell
+        shifted = []
+
+        def wrong_cell(exps, coeffs, max_level):
+            i, level = start_cell(exps, coeffs, max_level)
+            if shift == "coarser":  # a cell on the bisection path, 5 levels up
+                return i >> 5, level - 5
+            assert 0 <= i + shift < 2**level - 1
+            shifted.append(i + shift)
+            return i + shift, level
+
+        for f in self.POLYS:
+            expected = reference_bracket(f, tol)
+            with monkeypatch.context() as mp:
+                mp.setattr(roots, "_start_cell", wrong_cell)
+                assert bracket(f, tol) == expected
+        assert shift == "coarser" or len(shifted) == len(self.POLYS)
+
+    def test_estimate_beyond_two(self, monkeypatch):
+        expected = [reference_bracket(f, Fraction(1, 10**12)) for f in self.POLYS]
+        # the estimate claims lambda = 2.5 for roots below 2
+        monkeypatch.setattr(roots, "_estimate_root", lambda exps, coeffs: (1.5, 1e-15))
+        assert [bracket(f, Fraction(1, 10**12)) for f in self.POLYS] == expected
+
+    def test_precision_ceiling_still_raises(self):
+        with pytest.raises(PrecisionError):
+            unique_root_gt1(family_poly(2, 10), Fraction(1, 2**300), max_bits=128)
+
+
+def test_no_far_point_evaluation(monkeypatch):
+    # f(2) alone costs tens of milliseconds at this degree
+    points = []
+    kernel = roots.eval_enclosure
+
+    def counting(exps, coeffs, tnum, tk, prec):
+        points.append((tnum, tk))
+        return kernel(exps, coeffs, tnum, tk, prec)
+
+    monkeypatch.setattr(roots, "eval_enclosure", counting)
+    r = unique_root_gt1(family_poly(2, 10**6))
+    assert 1 < r.lo < r.hi < 2
+    assert len(points) <= 3
+    assert (2, 0) not in points
