@@ -11,7 +11,6 @@ asymptotics module verifies the expected root growth over finite sweeps.
 
 from .asymptotics import (
     BracketReport,
-    PolyFamily,
     RatioRow,
     RatioTable,
     b_family,
@@ -110,7 +109,6 @@ __all__ = [
     "condition_star_star",
     "bound_row",
     "upper_bound_table",
-    "PolyFamily",
     "b_family",
     "BracketReport",
     "bracket_check",

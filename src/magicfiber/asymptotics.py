@@ -1,12 +1,12 @@
-"""Desk-scale verification of the root-growth claims for polynomial families.
+"""Desk-scale verification of the root-growth claims for the (g, p) family.
 
-A family here is P_m(t) = t^(2m+offset) * (t^spread - 1) + 1
-- mid(t) * t^m - t^low, for a fixed middle polynomial ``mid`` with positive
-integer coefficients.  Whenever the top exponent 2m+offset+spread survives
-canonical merging, P_m has exactly one real root above 1, and that root
-lambda_m is squeezed between m^(c1/m) and m^(c2/m) for any 0 < c1 < 1 < c2
-once m is large.  The tools below verify such statements over finite sweeps
-and report the empirical threshold; they never claim the limit itself.
+The family at genus g is m -> family_poly(g, m), the polynomial
+P_m(t) = t^(2m+2g+2) - t^(2m+1) - 2 t^(m+g+1) - t^(2g+1) + 1 of the class
+(m+g+1, 2m+1, m-g).  P_m has exactly one real root lambda_m above 1, and
+that root is squeezed between m^(c1/m) and m^(c2/m) for any
+0 < c1 < 1 < c2 once m is large.  The tools below verify such statements
+over finite sweeps and report the empirical threshold; they never claim the
+limit itself.
 
 Comparisons against m^(c/m) are exact: for c = a/b the inequality
 lambda > m^(c/m) is equivalent to lambda^(b*m) > m^a, which is decided with
@@ -16,24 +16,26 @@ outward-rounded integer interval powers of the certified bracket endpoints
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernel import pow_enclosure
 from ._pool import pmap
-from .polynomials import SparsePoly, make_poly
+from .polynomials import SparsePoly, family_poly
 from .roots import (
     DEFAULT_TOL,
     CertifiedRoot,
     PrecisionError,
+    _as_fraction,
     _as_tol,
     as_dyadic,
     unique_root_gt1,
 )
 
 __all__ = [
-    "PolyFamily",
     "b_family",
     "BracketReport",
     "bracket_check",
@@ -49,54 +51,12 @@ __all__ = [
 _RATIO_PAD = 1e-13
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(repr(x))
-    return Fraction(x)
+Family = Callable[[int], SparsePoly]
 
 
-@dataclass(frozen=True)
-class PolyFamily:
-    """Coefficient data of the family P_m; instantiate at a given m."""
-
-    offset: int  # added to 2m in the two leading exponents
-    spread: int  # gap between the two leading exponents
-    low: int  # exponent of the lone low-order subtracted term
-    mid: SparsePoly  # positive-coefficient middle polynomial, shifted by t^m
-
-    def __post_init__(self):
-        if self.offset < 0 or self.spread < 1 or self.low < 1:
-            raise ValueError("need offset >= 0, spread >= 1, low >= 1")
-        if self.mid.is_zero or any(c < 1 for c in self.mid.coefficients()):
-            raise ValueError("mid must be nonzero with all coefficients >= 1")
-
-    def instantiate(self, m: int) -> SparsePoly:
-        """Canonical P_m; errors if the leading term does not survive merging."""
-        if m < 0:
-            raise ValueError("m must be nonnegative")
-        lead = 2 * m + self.offset + self.spread
-        others = [2 * m + self.offset, self.low, 0]
-        terms = [(lead, 1), (2 * m + self.offset, -1), (self.low, -1), (0, 1)]
-        for e, c in self.mid.terms:
-            terms.append((m + e, -c))
-            others.append(m + e)
-        f = make_poly(terms)
-        if f.is_zero or f.degree() != lead or f.leading_coefficient() != 1:
-            bad = max(e for e in others if e >= lead)
-            raise ValueError(
-                f"leading term t^{lead} is not strict at m={m}: "
-                f"exponent {bad} collides or dominates"
-            )
-        return f
-
-
-def b_family(g: int) -> PolyFamily:
-    """The family whose member at m = p is family_poly(g, p)."""
-    if g < 0:
-        raise ValueError("g must be nonnegative")
-    return PolyFamily(
-        offset=1, spread=2 * g + 1, low=2 * g + 1, mid=make_poly([(g + 1, 2)])
-    )
+def b_family(g: int) -> Family:
+    """The family m -> family_poly(g, m)."""
+    return functools.partial(family_poly, g)
 
 
 def _dyadic_pow_cmp(x: Fraction, e: int, rhs: int) -> int:
@@ -165,8 +125,8 @@ class BracketReport:
         return self.threshold is not None
 
 
-def _bracket_ok(fam: PolyFamily, m: int, c1: Fraction, c2: Fraction, tol) -> bool:
-    f = fam.instantiate(m)
+def _bracket_ok(fam: Family, m: int, c1: Fraction, c2: Fraction, tol) -> bool:
+    f = fam(m)
     root = unique_root_gt1(f, tol)
     s1, root = _cmp_root_to_power(f, root, m, c1, tol)
     if s1 <= 0:
@@ -176,7 +136,7 @@ def _bracket_ok(fam: PolyFamily, m: int, c1: Fraction, c2: Fraction, tol) -> boo
 
 
 def bracket_check(
-    fam: PolyFamily,
+    fam: Family,
     c_lower,
     c_upper,
     m_lo: int,
@@ -233,15 +193,15 @@ def _ratio_bounds(n: Fraction, root: CertifiedRoot) -> tuple[float, float]:
     return lo * (1 - _RATIO_PAD), hi * (1 + _RATIO_PAD)
 
 
-def _ratio_row(fam: PolyFamily, m: int, q: Fraction, v: Fraction, tol) -> RatioRow:
-    root = unique_root_gt1(fam.instantiate(m), tol)
+def _ratio_row(fam: Family, m: int, q: Fraction, v: Fraction, tol) -> RatioRow:
+    root = unique_root_gt1(fam(m), tol)
     n = q * m + v
     lo, hi = _ratio_bounds(n, root)
     return RatioRow(m=m, n=n, root=root, ratio_lo=lo, ratio_hi=hi)
 
 
 def ratio_table(
-    fam: PolyFamily, q, v, m_list, tol=DEFAULT_TOL, jobs: int = 1
+    fam: Family, q, v, m_list, tol=DEFAULT_TOL, jobs: int = 1
 ) -> RatioTable:
     """Normalized-entropy ratios over the given m values (order preserved)."""
     q = _as_fraction(q)

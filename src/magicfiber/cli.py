@@ -45,7 +45,7 @@ from .homology import (
     thurston_norm,
 )
 from .polynomials import dilatation_poly
-from .roots import DEFAULT_MAX_BITS, PrecisionError, unique_root_gt1
+from .roots import DEFAULT_MAX_BITS, PrecisionError, _as_tol, unique_root_gt1
 from .verify import SUITES, run_suites
 
 SCHEMA_VERSION = "1"
@@ -122,16 +122,6 @@ def _root_fields(root, places) -> tuple[str, str, str]:
     )
 
 
-def _parse_tol(text: str) -> Fraction:
-    try:
-        tol = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse tolerance {text!r}") from exc
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return tol
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
@@ -150,14 +140,19 @@ def _parse_points(text: str) -> list[int]:
     return pts
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(lo: int):
+    """An argparse type: an int that is at least ``lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+
+    return parse
 
 
 def _record(command, inputs, args, columns, rows, info=None, summary=None):
@@ -231,7 +226,7 @@ def _emit(record, fmt, stream) -> None:
 
 def cmd_class(args, out) -> int:
     fc = FiberedClass(args.x, args.y, args.z)
-    tol = _parse_tol(args.tol)
+    tol = _as_tol(args.tol)
     base = {
         "x": fc.x,
         "y": fc.y,
@@ -278,7 +273,7 @@ def cmd_class(args, out) -> int:
 
 
 def cmd_family(args, out) -> int:
-    tol = _parse_tol(args.tol)
+    tol = _as_tol(args.tol)
     places = _value_places(tol)
     rows = []
     for p in range(args.p_max + 1):
@@ -316,7 +311,7 @@ def cmd_family(args, out) -> int:
 
 
 def cmd_bounds(args, out) -> int:
-    tol = _parse_tol(args.tol)
+    tol = _as_tol(args.tol)
     places = _value_places(tol)
     n_min, n_max = _parse_range(args.punctures)
     table = upper_bound_table(args.genus, n_min, n_max, tol, jobs=args.jobs)
@@ -345,8 +340,6 @@ def cmd_bounds(args, out) -> int:
 
 
 def cmd_star(args, out) -> int:
-    if args.max < 2:
-        raise ValueError("--max must be at least 2")
     rows = []
     for g in range(2, args.max + 1):
         holds, witness = condition_star(g)
@@ -358,7 +351,7 @@ def cmd_star(args, out) -> int:
 
 
 def cmd_asymp(args, out) -> int:
-    tol = _parse_tol(args.tol)
+    tol = _as_tol(args.tol)
     fam = b_family(args.genus)
     if args.mode == "bracket":
         m_lo, m_hi = _parse_range(args.m_range)
@@ -426,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     tol.add_argument("--tol", default=DEFAULT_TOL_TEXT,
                      help="root bracket half-width (decimal or fraction)")
     max_bits = argparse.ArgumentParser(add_help=False)
-    max_bits.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS,
+    max_bits.add_argument("--max-bits", type=_int_at_least(1), default=DEFAULT_MAX_BITS,
                           help="precision ceiling for sign certification")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("plain", "csv", "json"),
                      default="plain", help="output format")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=_positive_int, default=1,
+    jobs.add_argument("--jobs", type=_int_at_least(1), default=1,
                       help="worker processes (at least 1, capped at the CPU count); "
                            "never affects output bytes")
 
@@ -464,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: " + ",".join(COLUMNS["family"]),
     )
     sp.add_argument("-g", "--genus", type=int, required=True)
-    sp.add_argument("--p-max", type=int, default=10)
+    sp.add_argument("--p-max", type=_int_at_least(0), default=10)
     sp.set_defaults(func=cmd_family)
 
     sp = sub.add_parser(
@@ -482,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="coprimality condition on 2g+1 for g = 2..MAX",
         epilog="CSV columns: " + ",".join(COLUMNS["star"]),
     )
-    sp.add_argument("--max", type=int, default=20)
+    sp.add_argument("--max", type=_int_at_least(2), default=20)
     sp.set_defaults(func=cmd_star)
 
     sp = sub.add_parser(

@@ -250,31 +250,16 @@ def _candidate_ps(n: int) -> list[int]:
     return ps
 
 
-def _filled_for(fd: FiberData, p: int, n: int) -> tuple[str, ...]:
-    deficit = (2 * p + 4) - n
-    if deficit == 0:
-        return ()
-    if deficit == 3:
-        return ("alpha", "gamma")
-    if deficit == fd.b_alpha:
-        return ("alpha",)
-    if deficit == fd.b_gamma:
-        return ("gamma",)
-    raise RuntimeError(f"no capping pattern for n={n} at p={p}")
-
-
 def bound_row(g: int, n: int, tol=DEFAULT_TOL) -> BoundRow:
     """Best certified bound for (g, n), or a no-witness row."""
     tol = _as_tol(tol)
     candidates = []
     pruned = []
     for p in _candidate_ps(n):
-        fc = family_class(g, p)
-        if not fc.primitive or (g, p) in ONE_PRONG_EXCEPTIONS:
+        if not family_class(g, p).primitive or not no_one_prong(g, p):
             pruned.append(p)
             continue
-        fd = family_fiber_data(g, p)
-        filled = _filled_for(fd, p, n)
+        filled = dict(filled_variants(g, p))[n]
         candidates.append((p, filled, family_dilatation(g, p, tol)))
     if not candidates:
         return BoundRow(n=n, record=None, pruned_p=tuple(pruned))

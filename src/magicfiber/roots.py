@@ -1,26 +1,29 @@
 """Certified sign evaluation and isolation of the unique root above 1.
 
-Every in-scope polynomial is monic with constant term +1 and negative value
-at t = 1, and has exactly one real root lambda above 1.  Its bracket is a
-cell of the bisection grid: with b the least power of 2 where f(b) > 0, the
-level-j cells are [1 + i*(b-1)/2**j, 1 + (i+1)*(b-1)/2**j].  Bisection from
-(1, b) visits, level by level, the cell that holds lambda, and stops at the
-first level whose width is at most 2*tol and whose lower end exceeds 1.  So
-the bracket is fixed by lambda alone, and bisection from any certified cell
-of that path ends at the same cell.
+Root isolation takes one polynomial shape, the shape of every dilatation
+polynomial: coefficient signs +1, -, ..., -, +1 (monic, constant term 1,
+every other coefficient negative) and f(1) < 0.  By Descartes' rule, with
+f(0) = 1 > 0 and f(1) < 0, such an f has exactly one real root lambda above
+1, and that root is irrational (the only rational candidates are +-1).  So
+no dyadic point is ever a root: every certified sign on the way is +1 or -1.
 
-Most polynomials skip the upper part of the path ("guess, then certify",
-after Sagraloff and Mehlhorn, J. Symbolic Comput. 2016).  When the
-coefficient signs are +, -, ..., -, +1, Descartes' rule with f(0) = 1 > 0
-and f(1) < 0 leaves exactly one root above 1, and it is irrational (a monic
-integer polynomial with constant term 1 has no rational root above 1).  A
-floating-point estimate of lambda then predicts the cell at the deepest
-level, at most the stopping level for tol, that its error bound fits in.
+The bracket is a cell of the bisection grid.  With b the least power of 2
+where f(b) > 0 and w = b - 1, the cell (i, j) is
+[1 + i*w/2**j, 1 + (i+1)*w/2**j].  Bisection from (0, 0) visits, level by
+level, the cell that holds lambda, and stops at the first level whose width
+w/2**j is at most 2*tol and whose index i is at least 1 (lower end above 1).
+So the bracket is fixed by lambda alone, and bisection from any certified
+cell of that path ends at the same cell.
+
+Most roots skip the upper part of the path ("guess, then certify", after
+Sagraloff and Mehlhorn, J. Symbolic Comput. 2016).  A floating-point
+estimate of lambda predicts the cell, on the grid with w = 1, at the
+deepest level that its error bound fits in, at most the stopping level.
 If the certified signs f(lo) < 0 < f(hi) confirm the cell, bisection starts
-there, and f(b) is never evaluated: hi <= 2 proves b = 2.  Any other
-polynomial, an estimate that allows lambda >= 2, or a cell the signs refute
-starts from the doubling search for b and the cell (1, b).  The estimate
-only chooses the start; every accepted step is backed by a certified sign.
+there, and f(b) is never evaluated: hi <= 2 proves b = 2.  An estimate that
+allows lambda >= 2, or a cell the signs refute, starts from the doubling
+search for b and the cell (0, 0).  The estimate only chooses the start;
+every accepted step is backed by a certified sign.
 
 Signs come from fixed-point interval arithmetic on exact integers: the point
 t is an exact dyadic rational, each term t**e is enclosed by binary powering
@@ -80,21 +83,11 @@ def as_dyadic(t) -> tuple[int, int]:
     raise TypeError(f"expected a dyadic rational, got {type(t).__name__}")
 
 
-def _dyadic_fraction(num: int, k: int) -> Fraction:
-    return Fraction(num, 1 << k)
-
-
 def _reduced(num: int, k: int) -> tuple[int, int]:
     while k > 0 and not (num & 1):
         num >>= 1
         k -= 1
     return (num, k)
-
-
-def _midpoint(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    km = max(a[1], b[1])
-    num = (a[0] << (km - a[1])) + (b[0] << (km - b[1]))
-    return _reduced(num, km + 1)
 
 
 @dataclass(frozen=True)
@@ -152,7 +145,7 @@ def evaluate_certified(f: SparsePoly, t, bits: int = DEFAULT_BITS) -> Enclosure:
     if f.is_zero:
         return Enclosure(Fraction(0), Fraction(0))
     lo, hi = eval_enclosure(f.exponents(), f.coefficients(), num, k, bits)
-    return Enclosure(_dyadic_fraction(lo, bits), _dyadic_fraction(hi, bits))
+    return Enclosure(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
 def _certified_sign(exps, coeffs, num, k, bits, max_bits) -> int:
@@ -172,11 +165,16 @@ def _certified_sign(exps, coeffs, num, k, bits, max_bits) -> int:
         prec = min(prec * 2, max_bits)
 
 
+def _as_fraction(x) -> Fraction:
+    """x as an exact Fraction; a float is read as its shortest repr."""
+    try:
+        return Fraction(repr(x) if isinstance(x, float) else x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot read {x!r} as an exact number") from exc
+
+
 def _as_tol(tol) -> Fraction:
-    if isinstance(tol, float):
-        tol = Fraction(repr(tol))
-    else:
-        tol = Fraction(tol)
+    tol = _as_fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     return tol
@@ -191,69 +189,59 @@ def unique_root_gt1(
 ) -> CertifiedRoot:
     """Certified bracket of the unique real root of f above 1.
 
-    Preconditions: f is monic with f(1) < 0 (the shape shared by all
-    dilatation polynomials).  The bracket is the cell of the bisection grid
-    that holds the root at the first level whose width is at most 2*tol and
-    whose lower end exceeds 1 (see the module docstring).  Bisection starts
-    from the grid cell that a floating-point estimate predicts, once its
-    endpoint signs are certified, or else from (1, b) after doubling b from
-    2 until f(b) > 0.  Both starts lie on the same bisection path, so the
-    bracket is the same bits either way; every step is sign-certified.
+    Precondition, checked: f has coefficient signs +1, -, ..., -, +1 and
+    f(1) < 0 (the shape of every dilatation polynomial); anything else
+    raises ``ValueError``.  The bracket is the cell (i, j) of width
+    (b-1)/2**j that holds the root at the first level j whose width is at
+    most 2*tol and whose index i is at least 1 (see the module docstring).
+    Bisection starts from the grid cell that a floating-point estimate
+    predicts, once its endpoint signs are certified, or else from (0, 0)
+    after doubling b from 2 until f(b) > 0.  Both starts lie on the same
+    bisection path, so the bracket is the same bits either way; every step
+    is sign-certified, and none can land on the irrational root.
     """
     tol = _as_tol(tol)
-    if f.is_zero or f.degree() < 1:
-        raise ValueError("need a nonconstant polynomial")
-    if f.leading_coefficient() != 1:
-        raise ValueError("leading coefficient must be +1")
-    if f.at_one() >= 0:
-        raise ValueError("f(1) must be negative")
     exps = f.exponents()
     coeffs = f.coefficients()
+    if (
+        f.at_one() >= 0
+        or coeffs[0] != 1
+        or f.constant_term() != 1
+        or not all(c < 0 for c in coeffs[1:-1])
+    ):
+        raise ValueError("need coefficient signs +1, -, ..., -, +1 and f(1) < 0")
 
-    def sign_at(point: tuple[int, int]) -> int:
-        return _certified_sign(exps, coeffs, point[0], point[1], bits, max_bits)
+    def sign_at(num: int, k: int) -> int:
+        return _certified_sign(exps, coeffs, num, k, bits, max_bits)
 
-    cell = None
-    # Signs +, -, ..., -, +1: exactly one root above 1, and an irrational one.
-    if coeffs[-1] == 1 and exps[-1] == 0 and all(c < 0 for c in coeffs[1:-1]):
-        cell = _start_cell(exps, coeffs, _grid_level(tol))
+    w, stop = 1, _grid_level(tol)
+    cell = _start_cell(exps, coeffs, stop)
     if cell is not None:
-        i, level = cell
-        lo = _reduced((1 << level) + i, level)
-        hi = _reduced((1 << level) + i + 1, level)
+        i, j = cell
         try:
             # The lower end 1 needs no evaluation: f(1) < 0 is checked above.
-            if not ((i == 0 or sign_at(lo) < 0) and sign_at(hi) > 0):
+            if not (
+                (i == 0 or sign_at(*_reduced((1 << j) + i, j)) < 0)
+                and sign_at(*_reduced((1 << j) + i + 1, j)) > 0
+            ):
                 cell = None
         except PrecisionError:
-            cell = None  # the path from (1, b) decides, raising if it must
+            cell = None  # the path from (0, 0) decides, raising if it must
     if cell is None:
         b = 2
-        while True:
-            s = sign_at((b, 0))
-            if s > 0:
-                break
-            if s == 0:
-                return _exact_hit(f, (b, 0), tol, bits, max_bits)
+        while sign_at(b, 0) < 0:
             b *= 2
-        lo = (1, 0)
-        hi = (b, 0)
-    two_tol = 2 * tol
-    while (
-        _dyadic_fraction(*hi) - _dyadic_fraction(*lo) > two_tol
-        or _dyadic_fraction(*lo) <= 1
-    ):
-        mid = _midpoint(lo, hi)
-        s = sign_at(mid)
-        if s == 0:
-            return _exact_hit(f, mid, tol, bits, max_bits)
-        if s < 0:
-            lo = mid
-        else:
-            hi = mid
-    flo = _dyadic_fraction(*lo)
-    fhi = _dyadic_fraction(*hi)
-    return CertifiedRoot(lo=flo, hi=fhi, value=(flo + fhi) / 2, tol=tol)
+        w, stop = b - 1, _grid_level(tol / (b - 1))
+        cell = (0, 0)
+    i, j = cell
+    while j < stop or i == 0:
+        # The midpoint 1 + (2i+1)*w/2**(j+1); w is odd, so its numerator is
+        # odd and (num, j+1) is already in lowest terms.
+        j += 1
+        i = 2 * i + (sign_at((1 << j) + (2 * i + 1) * w, j) < 0)
+    lo = Fraction((1 << j) + i * w, 1 << j)
+    hi = Fraction((1 << j) + (i + 1) * w, 1 << j)
+    return CertifiedRoot(lo=lo, hi=hi, value=(lo + hi) / 2, tol=tol)
 
 
 def _grid_level(tol: Fraction) -> int:
@@ -346,27 +334,3 @@ def _estimate_root(exps, coeffs):
         if not a < u < b:
             u = math.sqrt(a * b) if a > 0 else b / 16
     return None
-
-
-def _exact_hit(f, point, tol, bits, max_bits):
-    # The bisection landed exactly on the root (possible only for dyadic
-    # roots, e.g. t - 2); return a valid bracket straddling it.
-    exps = f.exponents()
-    coeffs = f.coefficients()
-    root = _dyadic_fraction(*point)
-    k = 1
-    while Fraction(1, 1 << k) > tol / 2 or root - Fraction(1, 1 << k) <= 1:
-        k += 1
-    num, pk = point
-    scale = max(pk, k)
-    base = num << (scale - pk)
-    off = 1 << (scale - k)
-    lo = (base - off, scale)
-    hi = (base + off, scale)
-    s_lo = _certified_sign(exps, coeffs, lo[0], lo[1], bits, max_bits)
-    s_hi = _certified_sign(exps, coeffs, hi[0], hi[1], bits, max_bits)
-    if s_lo >= 0 or s_hi <= 0:
-        raise ValueError(f"root at {root} is not a simple upward crossing")
-    flo = _dyadic_fraction(*lo)
-    fhi = _dyadic_fraction(*hi)
-    return CertifiedRoot(lo=flo, hi=fhi, value=root, tol=tol)

@@ -1,15 +1,13 @@
-"""Tests for the generic polynomial family and asymptotic sweeps."""
+"""Tests for the asymptotic sweeps over the family m -> family_poly(g, m)."""
 
 from fractions import Fraction
 
 import pytest
 
 from magicfiber import (
-    PolyFamily,
     b_family,
     bracket_check,
     family_poly,
-    make_poly,
     ratio_table,
     unique_root_gt1,
 )
@@ -31,33 +29,7 @@ class TestInstantiate:
         for g in range(0, 51, 10):
             fam = b_family(g)
             for p in range(0, 51, 7):
-                assert fam.instantiate(p) == family_poly(g, p)
-
-    def test_simple_family(self):
-        fam = PolyFamily(offset=0, spread=1, low=1, mid=make_poly([(0, 1)]))
-        assert fam.instantiate(3) == make_poly(
-            [(7, 1), (6, -1), (3, -1), (1, -1), (0, 1)]
-        )
-
-    def test_leading_collision_rejected(self):
-        # low == 2m+offset+spread kills the leading term after merging
-        fam = PolyFamily(offset=0, spread=1, low=7, mid=make_poly([(0, 1)]))
-        with pytest.raises(ValueError, match="leading term"):
-            fam.instantiate(3)
-
-    def test_mid_dominating_rejected(self):
-        fam = PolyFamily(offset=0, spread=1, low=1, mid=make_poly([(40, 1)]))
-        with pytest.raises(ValueError, match="leading term"):
-            fam.instantiate(3)
-
-    def test_nonpositive_mid_rejected(self):
-        with pytest.raises(ValueError):
-            PolyFamily(offset=0, spread=1, low=1, mid=make_poly([(1, -1)]))
-
-    def test_value_at_one_is_negative(self):
-        fam = PolyFamily(offset=2, spread=3, low=4, mid=make_poly([(2, 3), (0, 1)]))
-        for m in (1, 5, 20):
-            assert fam.instantiate(m).at_one() == -4  # -mid(1)
+                assert fam(p) == family_poly(g, p)
 
 
 class TestPowerComparison:
@@ -151,7 +123,7 @@ class TestRatioTable:
 
         with mpmath.workprec(200):
             for row in table.rows:
-                terms = fam.instantiate(row.m).terms
+                terms = fam(row.m).terms
                 lo, hi, n = mpf(row.root.lo), mpf(row.root.hi), mpf(row.n)
                 lam = mpmath.findroot(
                     lambda t: mpmath.fsum(c * t**e for e, c in terms), (lo, hi),

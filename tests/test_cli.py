@@ -162,6 +162,36 @@ class TestJobsValidation:
         assert out == ""
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("asymp", "bracket", "--c1", "1/0", "--m-range", "2..3"),
+            ("asymp", "ratio", "-q", "1/0", "--points", "10"),
+            ("class", "3", "1", "-2", "--tol", "1/0"),
+        ],
+    )
+    def test_zero_denominator_is_usage_error(self, argv):
+        code, out = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("class", "3", "1", "-2", "--max-bits", "0"),
+            ("class", "3", "1", "-2", "--max-bits", "-5"),
+            ("family", "-g", "2", "--p-max", "-1"),
+            ("star", "--max", "1"),
+            ("star", "--max", "-3"),
+        ],
+    )
+    def test_int_flag_below_its_least_value_is_usage_error(self, argv):
+        code, out = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+
+
 class TestFlagSets:
     @pytest.mark.parametrize(
         "argv",

@@ -114,11 +114,21 @@ class TestUniqueRoot:
         assert (a.lo, a.hi) == (b.lo, b.hi)
 
     def test_exact_dyadic_root(self):
-        f = make_poly([(1, 1), (0, -2)])  # t - 2
-        r = unique_root_gt1(f, Fraction(1, 10**6))
-        assert r.value == 2
-        assert r.lo < 2 < r.hi
-        assert r.hi - r.lo <= Fraction(2, 10**6)
+        # t - 2 has the dyadic root 2, but its constant term is not 1: only
+        # the dilatation shape is accepted, and its roots above 1 are irrational
+        with pytest.raises(ValueError, match="coefficient signs"):
+            unique_root_gt1(make_poly([(1, 1), (0, -2)]), Fraction(1, 10**6))
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(3, 1), (2, 1), (1, -4), (0, 1)],  # f(1) < 0, positive interior term
+            [(2, 1), (1, -4), (0, 2)],  # constant term 2
+        ],
+    )
+    def test_other_sign_shapes_rejected(self, terms):
+        with pytest.raises(ValueError, match="coefficient signs"):
+            unique_root_gt1(make_poly(terms), Fraction(1, 10**6))
 
     def test_shape_violations_rejected(self):
         with pytest.raises(ValueError):
@@ -141,6 +151,43 @@ class TestUniqueRoot:
             assert sturm_count(f, 1, r.lo) == 0
             assert sturm_count(f, 1, r.hi) == 1
             assert sturm_count(f, r.lo, r.hi) == 1
+
+
+def F(text):
+    return Fraction(text)
+
+
+# Exact brackets of roots above 2, on the grid of width (b - 1)/2**j with
+# b = 4 or 32: (f, tol, lo, hi).
+GOLDEN = [
+    (QUAD, Fraction(1, 10**7), F("62613421/16777216"), F("3913339/1048576")),
+    (
+        QUAD,
+        Fraction(1, 10**30),
+        F("4730936446296935564633176200967/1267650600228229401496703205376"),
+        F("9461872892593871129266352401937/2535301200456458802993406410752"),
+    ),
+    (
+        make_poly([(4, 1), (3, -2), (1, -2), (0, 1)]),  # the verify quartic
+        Fraction(1, 10**6),
+        F("2408191/1048576"),
+        F("4816385/2097152"),
+    ),
+    (family_poly(0, 0), Fraction(1, 10**12), F("8206866516743/2199023255552"),
+     F("4103433258373/1099511627776")),
+    (
+        make_poly([(2, 1), (1, -20), (0, 1)]),
+        Fraction(1, 10**30),
+        F("404631523535357414136867501740707/20282409603651670423947251286016"),
+        F("202315761767678707068433750870369/10141204801825835211973625643008"),
+    ),
+]
+
+
+@pytest.mark.parametrize("f,tol,lo,hi", GOLDEN)
+def test_golden_brackets_above_two(f, tol, lo, hi):
+    r = unique_root_gt1(f, tol)
+    assert (r.lo, r.hi, r.value) == (lo, hi, (lo + hi) / 2)
 
 
 GUESS_TOLS = [
