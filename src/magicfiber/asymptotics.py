@@ -9,15 +9,17 @@ over finite sweeps and report the empirical threshold; they never claim the
 limit itself.
 
 Comparisons against m^(c/m) are exact: for c = a/b the inequality
-lambda > m^(c/m) is equivalent to lambda^(b*m) > m^a, which is decided with
-outward-rounded integer interval powers of the certified bracket endpoints
-(refining the root bracket whenever the threshold falls inside it).
+lambda > m^(c/m) is equivalent to lambda^(b*m) > m^a, which is decided at
+the certified bracket endpoints (refining the root bracket whenever the
+threshold falls inside it): by float logs when they differ by far more than
+their rounding error, else by outward-rounded integer interval powers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +52,10 @@ __all__ = [
 # inside the pad at every tol.
 _RATIO_PAD = 1e-13
 
+# Relative gap above which the float logs in _dyadic_pow_cmp decide, far
+# above their few-ulp error.
+_LOG_PAD = 1e-9
+
 
 Family = Callable[[int], SparsePoly]
 
@@ -59,8 +65,22 @@ def b_family(g: int) -> Family:
     return functools.partial(family_poly, g)
 
 
-def _dyadic_pow_cmp(x: Fraction, e: int, rhs: int) -> int:
-    """Exact comparison of x**e against the integer rhs (x a dyadic > 0)."""
+def _dyadic_pow_cmp(x: Fraction, e: int, m: int, a: int) -> int:
+    """Exact comparison of x**e against m**a (x a dyadic, e, a >= 1, m >= 2).
+
+    Floats decide first, by the sign of d = ln(e ln x) - ln(a ln m), taken as
+    a sum of four logs so that no exponent overflows a float.  Each log errs
+    by a few ulps of its own size, so |d| above _LOG_PAD times the logs'
+    total size settles the sign.  Only a closer call builds m**a and the
+    interval power of x, whose integers grow with e and a.
+    """
+    y = float(x - 1)
+    if y >= sys.float_info.min:  # a subnormal or zero x - 1 has lost precision
+        logs = (math.log(e), math.log(math.log1p(y)), -math.log(a), -math.log(math.log(m)))
+        d = sum(logs)
+        if abs(d) > _LOG_PAD * (1 + sum(map(abs, logs))):
+            return 1 if d > 0 else -1
+    rhs = m**a
     num, k = as_dyadic(x)
     prec = 192
     for _ in range(3):
@@ -84,13 +104,12 @@ def _cmp_root_to_power(
         return 1, root  # threshold is 1 and the root exceeds 1
     a, b = c.numerator, c.denominator
     e = b * m
-    rhs = m**a
     for _ in range(64):
         # lambda lies strictly inside (lo, hi), so a weak comparison at an
         # endpoint already decides strictly for lambda itself.
-        if _dyadic_pow_cmp(root.lo, e, rhs) >= 0:
+        if _dyadic_pow_cmp(root.lo, e, m, a) >= 0:
             return 1, root
-        if _dyadic_pow_cmp(root.hi, e, rhs) <= 0:
+        if _dyadic_pow_cmp(root.hi, e, m, a) <= 0:
             return -1, root
         tol = tol / 2
         root = unique_root_gt1(f, tol)

@@ -10,6 +10,13 @@ variation counts, which is what makes the all-integer chain legitimate.
 Counts are of distinct real roots in the half-open interval (a, b]; either
 endpoint may be None for an unbounded side.  Non-square-free input is
 reduced to its square-free part first.  Degrees are capped at oracle scale.
+
+Every dilatation polynomial f is a palindrome, t^N f(1/t) = f(t): the
+lambda <-> 1/lambda symmetry of a stretch factor.  ``palindromic_half``
+writes it as f(t) = t^(N/2) g(t + 1/t) (after dividing out t + 1 when N is
+odd), with deg g = N/2.  Since t -> t + 1/t maps (1, oo) one to one onto
+(2, oo), the roots of f above 1 are counted by one chain of g on (2, oo), at
+half the degree; t -> 1/t gives the roots in (0, 1) for free.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from fractions import Fraction
 
 from .polynomials import SparsePoly
 
-__all__ = ["STURM_DEGREE_CAP", "sturm_count"]
+__all__ = ["STURM_DEGREE_CAP", "palindromic_half", "sturm_count"]
 
 STURM_DEGREE_CAP = 200
 
@@ -197,3 +204,29 @@ def sturm_count(f: SparsePoly, lower=None, upper=None) -> int:
     if count < 0:
         raise ArithmeticError("Sturm variation count decreased; oracle bug")
     return count
+
+
+def palindromic_half(f: SparsePoly) -> SparsePoly:
+    """The g with f(t) = t^(N/2) g(t + 1/t), for a palindrome f of degree N.
+
+    If N is odd, f(-1) = -f(-1) = 0 and t + 1 is divided out first; the
+    quotient is again a palindrome.  g is built from V_k(s) = t^k + t^(-k),
+    V_0 = 2, V_1 = s, V_k = s V_(k-1) - V_(k-2).  Roots of f above 1 map one
+    to one onto roots of g above 2, so ``sturm_count(g, 2, None)`` counts
+    them; a root at t = 1 maps to s = 2, which that count excludes.
+    Raises ``ValueError`` if f is not a palindrome.
+    """
+    p = f.dense_ascending()
+    if not p or p != p[::-1]:
+        raise ValueError(f"{f} is not a palindrome")
+    if _deg(p) % 2:
+        p = _exact_div(p, [1, 1])
+    n = _deg(p) // 2
+    g = [p[n]] + [0] * n
+    v_prev, v = [2], [0, 1]
+    for k in range(1, n + 1):
+        if p[n + k]:
+            for i, c in enumerate(v):
+                g[i] += p[n + k] * c
+        v_prev, v = v, [a - b for a, b in zip([0] + v, v_prev + [0, 0])]
+    return SparsePoly(tuple((e, g[e]) for e in range(n, -1, -1) if g[e]))

@@ -129,7 +129,15 @@ def suite_topology(max_norm: int = 60, max_gp: int = 60) -> SuiteResult:
 
 
 def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
-    """Descartes count 2 and Sturm counts (2 positive, 1 above t=1) on samples."""
+    """Descartes count 2 and Sturm counts (2 positive, 1 above t=1) on samples.
+
+    Every dilatation polynomial f is a palindrome, since norm - x = y - z and
+    norm - y = x - z, so t -> 1/t maps its roots in (0, 1) onto those in
+    (1, oo).  With f(t) = t^(N/2) g(t + 1/t) (``sturm.palindromic_half``)
+    and t -> t + 1/t mapping (1, oo) one to one onto (2, oo), one Sturm count
+    of g on (2, oo) equal to 1 proves exactly one root above 1, and f(1) != 0
+    then proves exactly two positive roots.
+    """
     failures = []
     for c in sample_cone_classes(samples, max_norm=100, seed=seed):
         f = polynomials.dilatation_poly(c)
@@ -138,10 +146,15 @@ def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
             break
         if polynomials.sign_variations(f) != 2:
             failures.append(f"{c}: sign variations != 2")
-        if sturm.sturm_count(f, 0, None) != 2:
-            failures.append(f"{c}: positive root count != 2")
-        if sturm.sturm_count(f, 1, None) != 1:
-            failures.append(f"{c}: root count above 1 != 1")
+        try:
+            half = sturm.palindromic_half(f)
+        except ValueError:
+            failures.append(f"{c}: not a palindrome")
+        else:
+            if f.at_one() == 0:
+                failures.append(f"{c}: root at t=1")
+            elif sturm.sturm_count(half, 2, None) != 1:
+                failures.append(f"{c}: root count above 1 != 1")
         if len(failures) > 5:
             break
     return _result("rootcount", failures, f"{samples} sampled classes")

@@ -11,7 +11,7 @@ from magicfiber import (
     ratio_table,
     unique_root_gt1,
 )
-from magicfiber.asymptotics import _cmp_root_to_power
+from magicfiber.asymptotics import _cmp_root_to_power, _dyadic_pow_cmp
 
 # Frozen regression cells for the g=2 family, (q, v) = (2, 4), tol 1e-12;
 # derived once with the certified pipeline and cross-checked against exact
@@ -51,6 +51,35 @@ class TestPowerComparison:
         )
         assert sign == 1
         assert refined.hi - refined.lo <= root.hi - root.lo
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n ** (1/e)) by integer Newton."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+class TestDyadicPowCmp:
+    @pytest.mark.parametrize("m, a, b", [(2, 1, 3), (10, 9, 10), (37, 1, 2), (50, 11, 10)])
+    def test_near_ties(self, m, a, b):
+        # the two dyadics 2^-200 apart around m^(a/e): floats cannot tell
+        # their sides, so only the exact path gets them right
+        e, k = b * m, 200
+        r = _iroot(m**a << (k * e), e)
+        assert r**e < m**a << (k * e) < (r + 1) ** e
+        assert _dyadic_pow_cmp(Fraction(r, 2**k), e, m, a) == -1
+        assert _dyadic_pow_cmp(Fraction(r + 1, 2**k), e, m, a) == 1
+
+    def test_far_sides_with_huge_exponents(self):
+        # lambda(2, 10) = 1.128...: far above 10^(1/10^400) and far below
+        # 10^(10^400/10); neither power could be built
+        x = unique_root_gt1(family_poly(2, 10)).lo
+        assert _dyadic_pow_cmp(x, 10**400 * 10, 10, 1) == 1
+        assert _dyadic_pow_cmp(x, 10, 10, 10**400) == -1
 
 
 class TestBracketCheck:

@@ -2,10 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import magicfiber
 from magicfiber.cli import dyadic_decimal, main, round_decimal
 from fractions import Fraction
 
@@ -190,6 +196,30 @@ class TestBadNumbers:
         code, out = run_cli(*argv)
         assert code == 2
         assert out == ""
+
+
+class TestHugeExponentDenominator:
+    @pytest.mark.parametrize(
+        "c1, m_range",
+        [("1/1000000000000", "2..2"), ("1/1000000000000", "2..50"), ("1e-400", "2..50")],
+    )
+    def test_fails_fast_with_the_verdicts_of_a_small_one(self, c1, m_range):
+        # c1 = 1/b once meant powers t^(b m); run in a child process so that a
+        # hang fails the test instead of stalling the suite
+        argv = ["asymp", "bracket", "-g", "2", "--m-range", m_range, "--format", "json"]
+        env = {**os.environ, "PYTHONPATH": str(Path(magicfiber.__file__).parents[1])}
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "magicfiber", *argv, "--c1", c1],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 0, proc.stderr
+        assert elapsed < 10, f"took {elapsed:.1f} s"
+        code, out = run_cli(*argv, "--c1", "1/1000")
+        assert code == 0
+        rows = [json.loads(text)["rows"][0] for text in (proc.stdout, out)]
+        assert rows[0]["failures"] == rows[1]["failures"]
 
 
 class TestFlagSets:

@@ -1,7 +1,7 @@
 """Tests for sparse polynomial construction and the dilatation polynomials."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from magicfiber import (
     NotInConeError,
@@ -75,6 +75,31 @@ class TestDilatationPoly:
         assert f.leading_coefficient() == 1
         assert f.constant_term() == 1
         assert f.at_one() == 2 - 4  # the four middle terms all evaluate to 1
+
+
+    # Theory oracles that need no dense coefficients, so no degree cap.
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 10**9), st.integers(1, 10**9), st.integers(-(10**9), 10**9))
+    def test_palindrome(self, x, y, z):
+        # norm - x = y - z and norm - y = x - z: the lambda <-> 1/lambda symmetry
+        z = min(z, x - 1, y - 1)
+        f = dilatation_poly((x, y, z))
+        n = f.degree()
+        assert sorted((n - e, c) for e, c in f.terms) == sorted(f.terms)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-(10**6), 10**6),
+        st.integers(2, 1000),
+    )
+    def test_scaling(self, x, y, z, k):
+        # f_{k c}(t) = f_c(t^k), so lambda(k c)^k = lambda(c)
+        z = min(z, x - 1, y - 1)
+        f = dilatation_poly((x, y, z))
+        assert dilatation_poly((k * x, k * y, k * z)) == make_poly(
+            (k * e, c) for e, c in f.terms
+        )
 
 
 class TestFamilyPoly:

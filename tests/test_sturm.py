@@ -1,10 +1,14 @@
 """Tests for the exact Sturm-chain oracle."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from magicfiber import dilatation_poly, make_poly, sturm_count
+from magicfiber import dilatation_poly, make_poly, sturm, sturm_count
+from magicfiber.sturm import palindromic_half
 
 QUAD = make_poly([(2, 1), (1, -4), (0, 1)])  # roots 2 +- sqrt(3)
 
@@ -68,3 +72,86 @@ class TestAgainstNumpy:
             roots = np.roots(f.dense_ascending()[::-1])
             n_pos = sum(1 for z in roots if abs(z.imag) < 1e-7 and z.real > 1e-9)
             assert sturm_count(f, 0, None) == n_pos == 2
+
+
+@st.composite
+def cone_classes(draw, bound=30):
+    """Classes (x, y, z) of the open fibered cone, primitive or not."""
+    x = draw(st.integers(1, bound))
+    y = draw(st.integers(1, bound))
+    z = draw(st.integers(min(x, y) - 1 - bound, min(x, y) - 1))
+    return (x, y, z)
+
+
+class TestPalindromicHalf:
+    """The half-degree chain against the full chain, which stays the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cone_classes())
+    def test_half_counts_match_the_full_chain(self, c):
+        f = dilatation_poly(c)
+        half = sturm_count(palindromic_half(f), 2, None)
+        assert sturm_count(f, 1, None) == half
+        assert sturm_count(f, 0, None) == 2 * half
+
+    def test_identity_at_rational_points(self):
+        f = dilatation_poly((5, 7, -3))  # degree 15: t + 1 is divided out
+        g = palindromic_half(f)
+        assert g.degree() == 7
+        for t in (Fraction(3, 2), Fraction(-5, 4), Fraction(7)):
+            assert f(t) / (t + 1) == t**7 * g(t + 1 / t)
+
+    def test_even_degree(self):
+        # t^2 - 4t + 1 = t (s - 4) with s = t + 1/t
+        assert palindromic_half(make_poly([(2, 1), (1, -4), (0, 1)])) == make_poly(
+            [(1, 1), (0, -4)]
+        )
+
+    def test_odd_degree_palindrome(self):
+        # (t + 1)(t^2 - 4t + 1) = t^3 - 3t^2 - 3t + 1
+        f = make_poly([(3, 1), (2, -3), (1, -3), (0, 1)])
+        g = palindromic_half(f)
+        assert g == make_poly([(1, 1), (0, -4)])
+        assert sturm_count(f, 1, None) == sturm_count(g, 2, None) == 1
+
+    def test_roots_at_plus_and_minus_one(self):
+        # (t - 1)^2 (t + 1)(t^2 - 4t + 1): t = -1 is divided out and t = 1
+        # maps to s = 2, which the count on (2, oo) excludes; so the half
+        # counts the roots strictly above 1, and the positive count is
+        # twice that plus the root at 1.
+        f = make_poly([(5, 1), (4, -5), (3, 4), (2, 4), (1, -5), (0, 1)])
+        g = palindromic_half(f)
+        assert g == make_poly([(2, 1), (1, -6), (0, 8)])  # (s - 2)(s - 4)
+        assert sturm_count(g, 2, None) == sturm_count(f, 1, None) == 1
+        assert sturm_count(f, 0, None) == 2 * sturm_count(g, 2, None) + 1
+
+    def test_constant(self):
+        assert palindromic_half(make_poly([(0, 3)])) == make_poly([(0, 3)])
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(6, 1), (5, -1), (3, -2), (1, -2), (0, 1)],  # dilatation shape, one term off
+            [(1, 1), (0, -1)],  # t - 1 is anti-palindromic
+            [(2, 1), (1, -4)],  # no constant term
+            [],
+        ],
+    )
+    def test_non_palindrome_rejected(self, terms):
+        with pytest.raises(ValueError):
+            palindromic_half(make_poly(terms))
+
+
+def test_sturm_imports_neither_roots_nor_the_kernel():
+    """The oracle must stay independent of the code it checks."""
+    tree = ast.parse(Path(sturm.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    banned = {"roots", "_kernel"}
+    hits = sorted(n for n in imported if banned & set(n.split(".")))
+    assert not hits, f"sturm imports {hits}"

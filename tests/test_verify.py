@@ -80,3 +80,17 @@ def test_rootcount_reports_a_degree_over_the_sturm_cap(monkeypatch):
     assert not result.passed
     assert "exceeds the Sturm cap" in result.detail
 
+
+
+def _not_a_palindrome(orig):
+    # an extra -t keeps the signs +1, -, ..., -, +1 but breaks the symmetry
+    return lambda c: polynomials.make_poly(orig(c).terms + ((1, -1),))
+
+
+def test_rootcount_reports_a_polynomial_that_is_not_a_palindrome(monkeypatch):
+    monkeypatch.setattr(
+        polynomials, "dilatation_poly", _not_a_palindrome(polynomials.dilatation_poly)
+    )
+    result = verify.suite_rootcount(samples=5)
+    assert not result.passed
+    assert "palindrome" in result.detail
