@@ -28,6 +28,7 @@ from ._kernel import pow_enclosure
 from ._pool import pmap
 from .polynomials import SparsePoly, family_poly
 from .roots import (
+    DEFAULT_MAX_BITS,
     DEFAULT_TOL,
     CertifiedRoot,
     PrecisionError,
@@ -72,7 +73,9 @@ def _dyadic_pow_cmp(x: Fraction, e: int, m: int, a: int) -> int:
     a sum of four logs so that no exponent overflows a float.  Each log errs
     by a few ulps of its own size, so |d| above _LOG_PAD times the logs'
     total size settles the sign.  Only a closer call builds m**a and the
-    interval power of x, whose integers grow with e and a.
+    interval power of x, whose integers grow with e and a.  A close call
+    means e ln x is near a ln m, so both powers have about a log2(m) bits;
+    past DEFAULT_MAX_BITS of them it raises PrecisionError instead.
     """
     y = float(x - 1)
     if y >= sys.float_info.min:  # a subnormal or zero x - 1 has lost precision
@@ -80,6 +83,11 @@ def _dyadic_pow_cmp(x: Fraction, e: int, m: int, a: int) -> int:
         d = sum(logs)
         if abs(d) > _LOG_PAD * (1 + sum(map(abs, logs))):
             return 1 if d > 0 else -1
+    if a * m.bit_length() > DEFAULT_MAX_BITS:
+        raise PrecisionError(
+            f"cannot tell x^{e} from {m}^{a} by float logs, and the exact powers "
+            f"would exceed {DEFAULT_MAX_BITS} bits"
+        )
     rhs = m**a
     num, k = as_dyadic(x)
     prec = 192

@@ -13,6 +13,12 @@ on which the norm is exactly x + y - z.  For a primitive class in that open
 cone this module computes the full topology of the fiber: the number of fiber
 boundary components on each cusp torus (a gcd formula), the genus, and the
 number of prongs of the stable foliation at each boundary component.
+
+One routine, ``_checked``, holds the coordinate rules (each an ``int``, at
+most 2**62 in absolute value); ``FiberedClass`` runs it at construction and
+the tuple path of ``_cone_coords`` runs it on the unpacked triple, so a
+class is checked once, as plain ints, whichever form it comes in.  The
+checks run in one order: type, range, cone, primitivity.
 """
 
 from __future__ import annotations
@@ -47,6 +53,15 @@ class NotPrimitiveError(ValueError):
     """Class is zero or a proper multiple of an integral class."""
 
 
+def _checked(x, y, z) -> None:
+    """The coordinate rules: each an int, of absolute value at most MAX_COORD."""
+    for v in (x, y, z):
+        if not isinstance(v, int):
+            raise TypeError(f"coordinates must be integers, got {v!r}")
+        if abs(v) > MAX_COORD:
+            raise ValueError(f"coordinate {v} exceeds the supported range 2**62")
+
+
 @dataclass(frozen=True)
 class FiberedClass:
     """An integral class (x, y, z) in the basis of the three disk classes."""
@@ -56,11 +71,7 @@ class FiberedClass:
     z: int
 
     def __post_init__(self):
-        for v in (self.x, self.y, self.z):
-            if not isinstance(v, int):
-                raise TypeError(f"coordinates must be integers, got {v!r}")
-            if abs(v) > MAX_COORD:
-                raise ValueError(f"coordinate {v} exceeds the supported range 2**62")
+        _checked(self.x, self.y, self.z)
 
     def coords(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -114,7 +125,10 @@ def thurston_norm(c) -> int:
 
 def in_fibered_cone(c) -> bool:
     """True iff the class lies in the open cone over the fibered face."""
-    x, y, z = as_fibered_class(c).coords()
+    return _in_cone(*as_fibered_class(c).coords())
+
+
+def _in_cone(x: int, y: int, z: int) -> bool:
     return x > 0 and y > 0 and x > z and y > z
 
 
@@ -126,13 +140,24 @@ def is_primitive(c) -> bool:
     return math.gcd(x, y, z) == 1
 
 
-def _require_fiber(c) -> FiberedClass:
-    fc = as_fibered_class(c)
-    if not in_fibered_cone(fc):
-        raise NotInConeError(f"{fc.coords()} is not in the open fibered cone")
-    if not is_primitive(fc):
-        raise NotPrimitiveError(f"{fc.coords()} is not primitive")
-    return fc
+def _cone_coords(c) -> tuple[int, int, int]:
+    """The checked coordinates of a FiberedClass or triple in the open cone."""
+    if isinstance(c, FiberedClass):
+        x, y, z = c.x, c.y, c.z  # checked at construction
+    else:
+        x, y, z = c
+        _checked(x, y, z)
+    if not _in_cone(x, y, z):
+        raise NotInConeError(f"{(x, y, z)} is not in the open fibered cone")
+    return x, y, z
+
+
+def _require_fiber(c) -> tuple[int, int, int]:
+    """The coordinates of a primitive class in the open cone."""
+    x, y, z = _cone_coords(c)
+    if math.gcd(x, y, z) != 1:
+        raise NotPrimitiveError(f"{(x, y, z)} is not primitive")
+    return x, y, z
 
 
 def boundary_counts(c) -> tuple[int, int, int]:
@@ -141,20 +166,19 @@ def boundary_counts(c) -> tuple[int, int, int]:
     (gcd(x, y+z), gcd(y, z+x), gcd(z, x+y)), with gcd(0, w) = |w|.
     Requires a primitive class in the open cone.
     """
-    x, y, z = _require_fiber(c).coords()
+    x, y, z = _require_fiber(c)
     return (math.gcd(x, y + z), math.gcd(y, z + x), math.gcd(z, x + y))
 
 
 def fiber_data(c) -> FiberData:
     """Full fiber topology of a primitive class in the open cone."""
-    fc = _require_fiber(c)
-    x, y, z = fc.coords()
+    x, y, z = _require_fiber(c)
     norm = x + y - z
     ba, bb, bg = (math.gcd(x, y + z), math.gcd(y, z + x), math.gcd(z, x + y))
     n_total = ba + bb + bg
     if (norm - n_total) % 2 != 0 or norm + 2 < n_total:
         raise RuntimeError(
-            f"genus formula failed for {fc.coords()}: norm={norm}, boundary={n_total}"
+            f"genus formula failed for {(x, y, z)}: norm={norm}, boundary={n_total}"
         )
     genus = (2 - n_total + norm) // 2
     # gcd(x, y+z) divides x, and gcd(z, x+y) divides x+y-2z, so these are exact.

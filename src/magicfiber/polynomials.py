@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .homology import NotInConeError, as_fibered_class, in_fibered_cone
+from .homology import _cone_coords
 
 __all__ = [
     "SparsePoly",
@@ -132,16 +132,18 @@ def make_poly(terms) -> SparsePoly:
 def dilatation_poly(c) -> SparsePoly:
     """The 6-term dilatation polynomial of a class in the open cone.
 
-    The cone inequalities force x+y-z to exceed every other exponent, so the
-    canonical form is monic of degree x+y-z with constant term +1.
+    The canonical form is built directly, without ``make_poly``.  The cone
+    inequalities x > 0, y > 0, x > z, y > z put each middle exponent x, y,
+    x-z, y-z strictly between 0 and x+y-z (x < x+y-z iff y > z, x-z > 0 iff
+    x > z, and so on), so the form is (x+y-z, 1), then the middle exponents
+    in descending order with -1 each, summed where they collide (-2 to -4,
+    never 0), then (0, 1).  ``SparsePoly`` still checks the result.
     """
-    fc = as_fibered_class(c)
-    if not in_fibered_cone(fc):
-        raise NotInConeError(f"{fc.coords()} is not in the open fibered cone")
-    x, y, z = fc.coords()
-    return make_poly(
-        [(x + y - z, 1), (x, -1), (y, -1), (x - z, -1), (y - z, -1), (0, 1)]
-    )
+    x, y, z = _cone_coords(c)
+    mid: dict[int, int] = {}
+    for e in (x, y, x - z, y - z):
+        mid[e] = mid.get(e, 0) - 1
+    return SparsePoly(((x + y - z, 1), *sorted(mid.items(), reverse=True), (0, 1)))
 
 
 def family_poly(g: int, p: int) -> SparsePoly:

@@ -83,8 +83,8 @@ def test_criterion_3_topology_oracle():
     result = verify.suite_topology()
     assert result.passed, result.detail
     swept, pairs = result.counts["classes"], result.counts["pairs"]
-    assert swept > 10_000
-    assert pairs > 1000
+    assert swept == 58_853  # exact, so that a faster sweep cannot quietly shrink
+    assert pairs == 3_021
     _report(3, f"{swept} classes, {pairs} family pairs", t0, 30.0)
 
 

@@ -12,6 +12,7 @@ from magicfiber import (
     unique_root_gt1,
 )
 from magicfiber.asymptotics import _cmp_root_to_power, _dyadic_pow_cmp
+from magicfiber.roots import DEFAULT_MAX_BITS, PrecisionError
 
 # Frozen regression cells for the g=2 family, (q, v) = (2, 4), tol 1e-12;
 # derived once with the certified pipeline and cross-checked against exact
@@ -80,6 +81,17 @@ class TestDyadicPowCmp:
         x = unique_root_gt1(family_poly(2, 10)).lo
         assert _dyadic_pow_cmp(x, 10**400 * 10, 10, 1) == 1
         assert _dyadic_pow_cmp(x, 10, 10, 10**400) == -1
+
+    def test_undecided_with_huge_powers_raises(self):
+        # 2^(2a) = 4^a exactly: the float logs tie, and 4^a has more than
+        # DEFAULT_MAX_BITS bits, so no power is built
+        a = DEFAULT_MAX_BITS
+        with pytest.raises(PrecisionError):
+            _dyadic_pow_cmp(Fraction(2), 2 * a, 4, a)
+
+    def test_undecided_below_the_cap_is_exact(self):
+        a = DEFAULT_MAX_BITS // 3  # 4^a has 2a + 1 <= DEFAULT_MAX_BITS bits
+        assert _dyadic_pow_cmp(Fraction(2), 2 * a, 4, a) == 0
 
 
 class TestBracketCheck:

@@ -221,6 +221,23 @@ class TestHugeExponentDenominator:
         rows = [json.loads(text)["rows"][0] for text in (proc.stdout, out)]
         assert rows[0]["failures"] == rows[1]["failures"]
 
+    @pytest.mark.parametrize("c1", ["759987450781/1000000000000", "0.75998745"])
+    def test_near_tie_fails_fast_with_exit_3(self, c1):
+        # c1 within about 1e-8 of m ln(lambda_m) / ln m at m = 2: the float
+        # logs cannot decide, and the exact powers would be far too large
+        argv = ["asymp", "bracket", "-g", "2", "--m-range", "2..2", "--c1", c1]
+        env = {**os.environ, "PYTHONPATH": str(Path(magicfiber.__file__).parents[1])}
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "magicfiber", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 3, proc.stderr
+        assert elapsed < 10, f"took {elapsed:.1f} s"
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+
 
 class TestFlagSets:
     @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """Tests for the integer homology computations."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from magicfiber import (
     FiberedClass,
@@ -18,6 +19,23 @@ from magicfiber import (
     thurston_norm,
 )
 from magicfiber.homology import MAX_COORD
+
+
+@st.composite
+def primitive_cone_classes(draw):
+    """Primitive classes of the open cone, z <= 0 and the collisions x = y, x = y - z included."""
+    x, y = draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))
+    z = draw(st.integers(-(10**6), 10**6))
+    shape = draw(st.sampled_from(["any", "x = y", "x = y - z"]))
+    if shape == "x = y":
+        y = x
+    elif shape == "x = y - z":
+        z = min(z, (y - 1) // 2)
+        x = y - z
+    z = min(z, x - 1, y - 1)
+    d = math.gcd(x, y, z)
+    return (x // d, y // d, z // d)
+
 
 VERTICES = [
     (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
@@ -186,3 +204,28 @@ class TestFiberData:
 
     def test_determinism(self):
         assert fiber_data((9, 4, -1)) == fiber_data((9, 4, -1))
+
+
+class TestOneValidation:
+    """Tuples and FiberedClass go through the same checks, in the same order."""
+
+    @settings(max_examples=200)
+    @given(primitive_cone_classes())
+    def test_tuple_and_class_agree(self, c):
+        assert fiber_data(c) == fiber_data(FiberedClass(*c))
+        assert boundary_counts(c) == boundary_counts(FiberedClass(*c))
+
+    @pytest.mark.parametrize("fn", [fiber_data, boundary_counts])
+    @pytest.mark.parametrize(
+        "c, error",
+        [
+            ((3, 1, 2.5), TypeError),
+            ((MAX_COORD + 1, 1, 0), ValueError),  # in the cone and primitive but for its size
+            ((1, 0, 0), NotInConeError),
+            ((2, 4, 0), NotPrimitiveError),
+        ],
+    )
+    def test_tuple_errors(self, fn, c, error):
+        with pytest.raises(error) as info:
+            fn(c)
+        assert info.type is error

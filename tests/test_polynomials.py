@@ -11,10 +11,25 @@ from magicfiber import (
     make_poly,
     sign_variations,
 )
+from magicfiber.homology import MAX_COORD
 
 terms_strategy = st.lists(
     st.tuples(st.integers(0, 40), st.integers(-9, 9)), max_size=12
 )
+
+
+@st.composite
+def cone_classes(draw):
+    """Classes of the open cone, z <= 0 and the collisions x = y, x = y - z included."""
+    x, y = draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))
+    z = draw(st.integers(-(10**6), 10**6))
+    shape = draw(st.sampled_from(["any", "x = y", "x = y - z"]))
+    if shape == "x = y":
+        y = x
+    elif shape == "x = y - z":
+        z = min(z, (y - 1) // 2)
+        x = y - z
+    return (x, y, min(z, x - 1, y - 1))
 
 
 class TestMakePoly:
@@ -63,6 +78,29 @@ class TestDilatationPoly:
     def test_out_of_cone_rejected(self):
         with pytest.raises(NotInConeError):
             dilatation_poly((1, 0, 0))
+
+    @settings(max_examples=200)
+    @given(cone_classes())
+    def test_direct_form_is_make_poly(self, c):
+        x, y, z = c
+        assert dilatation_poly(c) == make_poly(
+            [(x + y - z, 1), (x, -1), (y, -1), (x - z, -1), (y - z, -1), (0, 1)]
+        )
+
+    @pytest.mark.parametrize(
+        "c, error",
+        [
+            ((3, 1, 2.5), TypeError),
+            ((MAX_COORD + 1, 1, 0), ValueError),  # in the cone but for its size
+        ],
+    )
+    def test_tuple_errors(self, c, error):
+        with pytest.raises(error) as info:
+            dilatation_poly(c)
+        assert info.type is error
+
+    def test_non_primitive_class_accepted(self):
+        assert dilatation_poly((2, 4, 0)) == make_poly([(6, 1), (4, -2), (2, -2), (0, 1)])
 
     @given(st.integers(0, 80), st.integers(0, 80))
     def test_family_identity(self, g, p):
