@@ -9,110 +9,74 @@ tables for minimal dilatations of genus-g, n-punctured surfaces, and the
 asymptotics module verifies the expected root growth over finite sweeps.
 """
 
-from .asymptotics import (
-    BracketReport,
-    RatioRow,
-    RatioTable,
-    b_family,
-    bracket_check,
-    ratio_table,
-)
-from .family import (
-    BoundRecord,
-    BoundRow,
-    FamilyClass,
-    bound_row,
-    condition_star,
-    condition_star_brute,
-    condition_star_star,
-    family_class,
-    family_dilatation,
-    family_fiber_data,
-    filled_variants,
-    no_one_prong,
-    upper_bound_table,
-)
-from .homology import (
-    FiberData,
-    FiberedClass,
-    NotInConeError,
-    NotPrimitiveError,
-    boundary_counts,
-    euler_poincare_check,
-    fiber_data,
-    in_fibered_cone,
-    is_primitive,
-    thurston_norm,
-)
-from .polynomials import (
-    SparsePoly,
-    dilatation_poly,
-    family_poly,
-    make_poly,
-    sign_variations,
-)
-from .roots import (
-    DEFAULT_BITS,
-    DEFAULT_MAX_BITS,
-    DEFAULT_TOL,
-    CertifiedRoot,
-    Enclosure,
-    PrecisionError,
-    evaluate_certified,
-    unique_root_gt1,
-)
-from .sturm import STURM_DEGREE_CAP, sturm_count
+import importlib
 
 __version__ = "0.1.0"
 
 # The kernel is pure Python only; the name stays because run records report it.
 KERNEL_BACKEND = "python"
 
-__all__ = [
-    "__version__",
-    "KERNEL_BACKEND",
-    "FiberedClass",
-    "FiberData",
-    "NotInConeError",
-    "NotPrimitiveError",
-    "thurston_norm",
-    "in_fibered_cone",
-    "is_primitive",
-    "boundary_counts",
-    "fiber_data",
-    "euler_poincare_check",
-    "SparsePoly",
-    "make_poly",
-    "dilatation_poly",
-    "family_poly",
-    "sign_variations",
-    "DEFAULT_BITS",
-    "DEFAULT_MAX_BITS",
-    "DEFAULT_TOL",
-    "PrecisionError",
-    "Enclosure",
-    "CertifiedRoot",
-    "evaluate_certified",
-    "unique_root_gt1",
-    "STURM_DEGREE_CAP",
-    "sturm_count",
-    "FamilyClass",
-    "BoundRecord",
-    "BoundRow",
-    "family_class",
-    "family_fiber_data",
-    "no_one_prong",
-    "family_dilatation",
-    "filled_variants",
-    "condition_star",
-    "condition_star_brute",
-    "condition_star_star",
-    "bound_row",
-    "upper_bound_table",
-    "b_family",
-    "BracketReport",
-    "bracket_check",
-    "RatioRow",
-    "RatioTable",
-    "ratio_table",
-]
+# Public name -> the module that defines it.  A name is imported on first
+# access (PEP 562), so ``import magicfiber`` loads none of the modules and
+# the CLI pays only for the subcommand it runs.
+_EXPORTS = {
+    "FiberedClass": "homology",
+    "FiberData": "homology",
+    "NotInConeError": "homology",
+    "NotPrimitiveError": "homology",
+    "thurston_norm": "homology",
+    "in_fibered_cone": "homology",
+    "is_primitive": "homology",
+    "boundary_counts": "homology",
+    "fiber_data": "homology",
+    "euler_poincare_check": "homology",
+    "SparsePoly": "polynomials",
+    "make_poly": "polynomials",
+    "dilatation_poly": "polynomials",
+    "family_poly": "polynomials",
+    "sign_variations": "polynomials",
+    "DEFAULT_BITS": "roots",
+    "DEFAULT_MAX_BITS": "roots",
+    "DEFAULT_TOL": "roots",
+    "PrecisionError": "roots",
+    "Enclosure": "roots",
+    "CertifiedRoot": "roots",
+    "evaluate_certified": "roots",
+    "unique_root_gt1": "roots",
+    "STURM_DEGREE_CAP": "sturm",
+    "sturm_count": "sturm",
+    "FamilyClass": "family",
+    "BoundRecord": "family",
+    "BoundRow": "family",
+    "family_class": "family",
+    "family_fiber_data": "family",
+    "no_one_prong": "family",
+    "family_dilatation": "family",
+    "filled_variants": "family",
+    "condition_star": "family",
+    "condition_star_brute": "family",
+    "condition_star_star": "family",
+    "bound_row": "family",
+    "upper_bound_table": "family",
+    "b_family": "asymptotics",
+    "BracketReport": "asymptotics",
+    "bracket_check": "asymptotics",
+    "RatioRow": "asymptotics",
+    "RatioTable": "asymptotics",
+    "ratio_table": "asymptotics",
+}
+
+__all__ = ["__version__", "KERNEL_BACKEND", *_EXPORTS]
+
+
+def __getattr__(name):
+    # Not cached here: a wrapper patched into the home module stays the one
+    # returned, and restoring the module restores this name too.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -21,8 +21,8 @@ import functools
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._kernel import pow_enclosure
 from ._pool import pmap
@@ -124,8 +124,7 @@ def _cmp_root_to_power(
     raise PrecisionError(f"could not separate the root from m^({c}/{m})")
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(NamedTuple):
     """Outcome of checking m^(c_lower/m) < lambda_m < m^(c_upper/m) on a range."""
 
     c_lower: Fraction
@@ -185,8 +184,7 @@ def bracket_check(
     return BracketReport(c_lower=c1, c_upper=c2, m_lo=m_lo, m_hi=m_hi, failures=failures)
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     m: int
     n: Fraction
     root: CertifiedRoot
@@ -194,8 +192,7 @@ class RatioRow:
     ratio_hi: float
 
 
-@dataclass(frozen=True)
-class RatioTable:
+class RatioTable(NamedTuple):
     """Rows of (q*m+v) * log(lambda_m) / log(q*m+v), with trend metadata.
 
     The trend flags are certified across successive rows (each ratio

@@ -27,14 +27,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .asymptotics import b_family, bracket_check, ratio_table
-from .family import (
-    condition_star,
-    family_class,
-    family_dilatation,
-    family_fiber_data,
-    upper_bound_table,
-)
 from .homology import (
     FiberedClass,
     NotInConeError,
@@ -46,7 +38,11 @@ from .homology import (
 )
 from .polynomials import dilatation_poly
 from .roots import DEFAULT_MAX_BITS, PrecisionError, _as_tol, unique_root_gt1
-from .verify import SUITES, run_suites
+
+# Each cmd_* imports the asymptotics, family or verify code it runs when it is
+# called, so an invocation loads only its own subcommand's modules.  The
+# verify help names the suites of verify.SUITES, in order, from this copy.
+SUITE_NAMES = ("roots", "identity", "topology", "rootcount", "star", "bounds", "asymp")
 
 SCHEMA_VERSION = "1"
 DEFAULT_TOL_TEXT = "1e-12"  # roots.DEFAULT_TOL as typed on the command line
@@ -273,6 +269,8 @@ def cmd_class(args, out) -> int:
 
 
 def cmd_family(args, out) -> int:
+    from .family import family_class, family_dilatation, family_fiber_data
+
     tol = _as_tol(args.tol)
     places = _value_places(tol)
     rows = []
@@ -311,6 +309,8 @@ def cmd_family(args, out) -> int:
 
 
 def cmd_bounds(args, out) -> int:
+    from .family import upper_bound_table
+
     tol = _as_tol(args.tol)
     places = _value_places(tol)
     n_min, n_max = _parse_range(args.punctures)
@@ -340,6 +340,8 @@ def cmd_bounds(args, out) -> int:
 
 
 def cmd_star(args, out) -> int:
+    from .family import condition_star
+
     rows = []
     for g in range(2, args.max + 1):
         holds, witness = condition_star(g)
@@ -351,6 +353,8 @@ def cmd_star(args, out) -> int:
 
 
 def cmd_asymp(args, out) -> int:
+    from .asymptotics import b_family, bracket_check, ratio_table
+
     tol = _as_tol(args.tol)
     fam = b_family(args.genus)
     if args.mode == "bracket":
@@ -405,6 +409,8 @@ def cmd_asymp(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from .verify import run_suites
+
     results = run_suites(args.suites, jobs=args.jobs)
     rows = [{"suite": r.name, "passed": r.passed, "detail": r.detail} for r in results]
     rec = _record("verify", {"suites": " ".join(args.suites)}, args, COLUMNS["verify"],
@@ -497,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "verify", parents=[fmt, jobs],
-        help="run invariant suites: " + " ".join(SUITES) + " (or: all)",
+        help="run invariant suites: " + " ".join(SUITE_NAMES) + " (or: all)",
         epilog="CSV columns: " + ",".join(COLUMNS["verify"]),
     )
     sp.add_argument("suites", nargs="*", default=["all"])

@@ -20,7 +20,7 @@ with the O(g) gcd scan kept in ``condition_star_brute`` as an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._pool import pmap
 from .homology import FiberData, FiberedClass, NotPrimitiveError
@@ -53,16 +53,14 @@ __all__ = [
 ONE_PRONG_EXCEPTIONS = frozenset({(0, 0), (0, 1), (1, 0)})
 
 
-@dataclass(frozen=True)
-class FamilyClass:
+class FamilyClass(NamedTuple):
     g: int
     p: int
     fibered_class: FiberedClass
     primitive: bool
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     """A certified entry "delta_{g,n} <= bound" with its witness.
 
     ``filled`` names the cusps whose fiber boundaries are capped to bring
@@ -76,8 +74,7 @@ class BoundRecord:
     bound: CertifiedRoot
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     """One table cell: a record, or None with the pruned candidates listed."""
 
     n: int

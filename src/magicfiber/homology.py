@@ -15,16 +15,17 @@ boundary components on each cusp torus (a gcd formula), the genus, and the
 number of prongs of the stable foliation at each boundary component.
 
 One routine, ``_checked``, holds the coordinate rules (each an ``int``, at
-most 2**62 in absolute value); ``FiberedClass`` runs it at construction and
-the tuple path of ``_cone_coords`` runs it on the unpacked triple, so a
-class is checked once, as plain ints, whichever form it comes in.  The
-checks run in one order: type, range, cone, primitivity.
+most 2**62 in absolute value); ``FiberedClass.__new__`` runs it at every
+construction, ``_replace`` and unpickling included, and the tuple path of
+``_cone_coords`` runs it on the unpacked triple, so a class is checked once,
+as plain ints, whichever form it comes in.  The checks run in one order:
+type, range, cone, primitivity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "MAX_COORD",
@@ -62,16 +63,25 @@ def _checked(x, y, z) -> None:
             raise ValueError(f"coordinate {v} exceeds the supported range 2**62")
 
 
-@dataclass(frozen=True)
-class FiberedClass:
-    """An integral class (x, y, z) in the basis of the three disk classes."""
-
+class _Coords(NamedTuple):
     x: int
     y: int
     z: int
 
-    def __post_init__(self):
-        _checked(self.x, self.y, self.z)
+
+# A NamedTuple body cannot define __new__, so the checks live in a subclass.
+class FiberedClass(_Coords):
+    """An integral class (x, y, z) in the basis of the three disk classes."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y, z):
+        _checked(x, y, z)
+        return super().__new__(cls, x, y, z)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def coords(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -82,8 +92,7 @@ class FiberedClass:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class FiberData:
+class FiberData(NamedTuple):
     """Topology of the minimal representative of a primitive fibered class.
 
     ``b_alpha``, ``b_beta``, ``b_gamma`` count fiber boundary components on

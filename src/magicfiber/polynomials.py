@@ -17,8 +17,8 @@ canonical merging (e.g. family_poly(0, 0) is t^2 - 4t + 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .homology import _cone_coords
 
@@ -31,15 +31,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SparsePoly:
-    """Immutable sparse integer polynomial in one variable t."""
-
+class _Terms(NamedTuple):
     terms: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+
+# A NamedTuple body cannot define __new__, so the check lives in a subclass.
+class SparsePoly(_Terms):
+    """Immutable sparse integer polynomial in one variable t.
+
+    Construction (``_replace`` and unpickling included) checks the
+    canonical form.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, terms):
         last = None
-        for e, c in self.terms:
+        for e, c in terms:
             if e < 0:
                 raise ValueError(f"negative exponent {e}")
             if c == 0:
@@ -47,6 +55,11 @@ class SparsePoly:
             if last is not None and e >= last:
                 raise ValueError("exponents must be strictly decreasing")
             last = e
+        return super().__new__(cls, terms)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def is_zero(self) -> bool:

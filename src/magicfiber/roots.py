@@ -38,8 +38,8 @@ independent of the precision-escalation path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._kernel import eval_enclosure
 from .polynomials import SparsePoly
@@ -90,8 +90,7 @@ def _reduced(num: int, k: int) -> tuple[int, int]:
     return (num, k)
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(NamedTuple):
     """An interval certified to contain the exact value."""
 
     lo: Fraction
@@ -109,8 +108,7 @@ class Enclosure:
         return None
 
 
-@dataclass(frozen=True)
-class CertifiedRoot:
+class CertifiedRoot(NamedTuple):
     """A bracket (lo, hi) around a root, with certified opposite signs.
 
     ``lo`` and ``hi`` are exact dyadic rationals with lo > 1 and

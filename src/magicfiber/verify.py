@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import asymptotics, family, homology, polynomials, roots, sturm
 
@@ -27,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -198,9 +198,7 @@ class TestFiberData:
 
     def test_perturbed_balance_fails(self):
         fd = fiber_data((3, 1, -2))
-        from dataclasses import replace
-
-        assert not euler_poincare_check(replace(fd, prongs_gamma=fd.prongs_gamma + 1))
+        assert not euler_poincare_check(fd._replace(prongs_gamma=fd.prongs_gamma + 1))
 
     def test_determinism(self):
         assert fiber_data((9, 4, -1)) == fiber_data((9, 4, -1))

@@ -8,10 +8,13 @@ from magicfiber import (
     SparsePoly,
     dilatation_poly,
     family_poly,
+    in_fibered_cone,
     make_poly,
     sign_variations,
+    thurston_norm,
 )
 from magicfiber.homology import MAX_COORD
+from magicfiber.sturm import STURM_DEGREE_CAP
 
 terms_strategy = st.lists(
     st.tuples(st.integers(0, 40), st.integers(-9, 9)), max_size=12
@@ -186,3 +189,40 @@ class TestStr:
         assert str(dilatation_poly((3, 1, -2))) == "t^6 - t^5 - 2*t^3 - t + 1"
         assert str(make_poly([])) == "0"
         assert str(make_poly([(1, -1), (0, 3)])) == "-t + 3"
+
+
+def _swap(c):
+    x, y, z = c
+    return (y, x, z)
+
+
+def _flip(c):
+    x, y, z = c
+    return (x - z, y - z, -z)
+
+
+class TestFaceSymmetry:
+    """(x, y, z) -> (y, x, z) and (x, y, z) -> (x-z, y-z, -z) fix the fibered face.
+
+    Both are linear maps permuting the vertices of the norm ball, so they
+    preserve the norm everywhere and the open cone as a set; on the cone
+    they permute the middle exponents x, y, x-z, y-z and fix x+y-z, so the
+    dilatation polynomial is the same.  Checked exactly at degrees far above
+    the Sturm oracle's cap.
+    """
+
+    coords = st.integers(-(10**6), 10**6)
+
+    @given(st.tuples(coords, coords, coords), st.sampled_from([_swap, _flip]))
+    def test_cone_membership_and_norm(self, c, sym):
+        assert in_fibered_cone(sym(c)) == in_fibered_cone(c)
+        assert thurston_norm(sym(c)) == thurston_norm(c)
+
+    @given(cone_classes(), st.sampled_from([_swap, _flip]))
+    def test_dilatation_poly(self, c, sym):
+        assert dilatation_poly(sym(c)) == dilatation_poly(c)
+
+    def test_samples_reach_past_the_sturm_cap(self):
+        c = (10**6, 10**6 - 1, -(10**6))
+        assert dilatation_poly(c).degree() > 10**4 * STURM_DEGREE_CAP
+        assert dilatation_poly(_flip(c)) == dilatation_poly(_swap(c)) == dilatation_poly(c)

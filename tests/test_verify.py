@@ -6,7 +6,6 @@ parameters, once as it is and once with one defect injected into the code
 it checks.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,7 @@ from magicfiber import family, polynomials, roots, sturm, verify
 
 
 def _wrong_genus(orig):
-    return lambda g, p: dataclasses.replace(orig(g, p), genus=orig(g, p).genus + 1)
+    return lambda g, p: orig(g, p)._replace(genus=orig(g, p).genus + 1)
 
 
 def _shifted_root(orig):
@@ -23,14 +22,14 @@ def _shifted_root(orig):
 
     def shifted(f, tol, **kwargs):
         r = orig(f, tol, **kwargs)
-        return dataclasses.replace(r, lo=r.lo + shift, hi=r.hi + shift, value=r.value + shift)
+        return r._replace(lo=r.lo + shift, hi=r.hi + shift, value=r.value + shift)
 
     return shifted
 
 
 def _no_witness(orig):
     def table(*args, **kwargs):
-        return [dataclasses.replace(row, record=None) for row in orig(*args, **kwargs)]
+        return [row._replace(record=None) for row in orig(*args, **kwargs)]
 
     return table
 
