@@ -10,13 +10,16 @@ star          the coprimality condition on 2g+1, with failure witnesses
 asymp         asymptotic sweeps: two-sided root brackets and ratio tables
 verify        run the built-in invariant suites
 
-Output goes to stdout in plain, csv, or json form (``--format``); stderr
+A run builds one record: the subcommand's ``cmd_*`` computes it and returns
+it with its outcome, and ``main`` writes it once, to stdout in plain, csv, or
+json form (``--format``), then maps the outcome to the exit code.  stderr
 carries diagnostics only.  Exit codes: 0 success, 1 verification failure,
-2 usage error (including out-of-cone / non-primitive classes when fiber data
-was requested), 3 precision-ceiling failure.  Numeric approximations are
-always accompanied by their exact bracket endpoints, serialized as decimal
-strings; identical invocations produce byte-identical output regardless of
-``--jobs``.
+2 usage error, 3 precision-ceiling failure.  A ``class`` with no fiber data
+(zero, out of the cone, or not primitive) writes its partial record to stdout,
+then its ``error:`` line to stderr, and exits 2; the other usage and
+precision errors write no record.  Numeric approximations are always
+accompanied by their exact bracket endpoints, serialized as decimal strings;
+identical invocations produce byte-identical output regardless of ``--jobs``.
 """
 
 from __future__ import annotations
@@ -52,29 +55,34 @@ DEFAULT_TOL_TEXT = "1e-12"  # roots.DEFAULT_TOL as typed on the command line
 # magic manifold, whose volume does not increase under the fillings used).
 MAGIC_MANIFOLD_VOLUME = "5.3334"
 
+FIBER_FIELDS = [
+    "genus", "n_total", "b_alpha", "b_beta", "b_gamma",
+    "prongs_alpha", "prongs_beta", "prongs_gamma",
+]
+ROOT_FIELDS = ["lambda_lo", "lambda_hi", "lambda"]
+
 COLUMNS = {
     "class": [
-        "x", "y", "z", "norm", "in_cone", "primitive", "genus", "n_total",
-        "b_alpha", "b_beta", "b_gamma", "prongs_alpha", "prongs_beta",
-        "prongs_gamma", "degree", "poly", "lambda_lo", "lambda_hi", "lambda",
+        "x", "y", "z", "norm", "in_cone", "primitive", *FIBER_FIELDS,
+        "degree", "poly", *ROOT_FIELDS,
     ],
     "class_norm_only": ["x", "y", "z", "norm", "in_cone"],
-    "family": [
-        "p", "x", "y", "z", "primitive", "norm", "genus", "n_total",
-        "b_alpha", "b_beta", "b_gamma", "prongs_alpha", "prongs_beta",
-        "prongs_gamma", "lambda_lo", "lambda_hi", "lambda",
-    ],
-    "bounds": [
-        "n", "status", "witness_p", "filled", "pruned_p",
-        "lambda_lo", "lambda_hi", "lambda",
-    ],
+    "family": ["p", "x", "y", "z", "primitive", "norm", *FIBER_FIELDS, *ROOT_FIELDS],
+    "bounds": ["n", "status", "witness_p", "filled", "pruned_p", *ROOT_FIELDS],
     "star": ["g", "holds", "witness_s"],
     "asymp_bracket": [
         "c_lower", "c_upper", "m_lo", "m_hi", "checked", "n_failures",
         "largest_failure", "threshold", "holds_tail", "failures",
     ],
-    "asymp_ratio": ["m", "n", "lambda_lo", "lambda_hi", "ratio_lo", "ratio_hi"],
+    "asymp_ratio": ["m", "n", *ROOT_FIELDS[:2], "ratio_lo", "ratio_hi"],
     "verify": ["suite", "passed", "detail"],
+}
+
+# The flags of each asymp mode and their defaults; a flag of the other mode
+# is a usage error, so the parser leaves all of them at None.
+ASYMP_FLAGS = {
+    "bracket": {"--c1": "0.9", "--c2": "1.1", "--m-range": "2..2000"},
+    "ratio": {"-q": "2", "-v": "4", "--points": "10,100,1000,10000"},
 }
 
 
@@ -110,12 +118,20 @@ def _value_places(tol: Fraction) -> int:
     return max(6, places + 2)
 
 
-def _root_fields(root, places) -> tuple[str, str, str]:
-    return (
+def _fiber_cells(fd) -> dict:
+    """The FIBER_FIELDS cells of fd, all None when there is no fiber data."""
+    return {f: None if fd is None else getattr(fd, f) for f in FIBER_FIELDS}
+
+
+def _root_cells(root, places) -> dict:
+    """The ROOT_FIELDS cells of a bracket, all None when there is no root."""
+    if root is None:
+        return dict.fromkeys(ROOT_FIELDS)
+    return dict(zip(ROOT_FIELDS, (
         dyadic_decimal(root.lo),
         dyadic_decimal(root.hi),
         round_decimal(root.value, places),
-    )
+    )))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -151,7 +167,7 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _record(command, inputs, args, columns, rows, info=None, summary=None):
+def _record(args, inputs, columns, rows, summary=None):
     # A subcommand with --tol isolates roots at it; without --max-bits it
     # runs at the package ceiling, so that is the value echoed.  One without
     # --tol applies neither (star isolates nothing, the verify suites use
@@ -164,14 +180,15 @@ def _record(command, inputs, args, columns, rows, info=None, summary=None):
         }
     rec = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "tolerances": tolerances,
     }
-    if info:
-        rec["info"] = info
+    if args.command != "class":
+        rec["info"] = {"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME}
     rec["columns"] = columns
-    rec["rows"] = rows
+    # JSON writes each row's keys in order, so every row is cut to `columns`.
+    rec["rows"] = [{c: row[c] for c in columns} for row in rows]
     if summary is not None:
         rec["summary"] = summary
     return rec
@@ -185,90 +202,66 @@ def _cell_text(v) -> str:
     return str(v)
 
 
+def _csv_cell(text: str) -> str:
+    if any(ch in text for ch in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _emit(record, fmt, stream) -> None:
     if fmt == "json":
-        stream.write(json.dumps(record, indent=2))
-        stream.write("\n")
+        stream.write(json.dumps(record, indent=2) + "\n")
         return
     columns = record["columns"]
-    rows = record["rows"]
+    grid = [columns] + [[_cell_text(row[c]) for c in columns] for row in record["rows"]]
     if fmt == "csv":
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for c in columns:
-                text = _cell_text(row.get(c))
-                if any(ch in text for ch in ',"\n'):
-                    text = '"' + text.replace('"', '""') + '"'
-                cells.append(text)
-            stream.write(",".join(cells) + "\n")
+        stream.writelines(",".join(map(_csv_cell, r)) + "\n" for r in grid)
         return
     # plain
-    stream.write(f"# magicfiber {__version__} :: {record['command']}\n")
-    for key, val in record["inputs"].items():
-        stream.write(f"# {key}: {val}\n")
-    tols = record["tolerances"]
-    if tols:
-        stream.write(f"# tol: {tols['tol']}  max_bits: {tols['max_bits']}\n")
-    for key, val in record.get("info", {}).items():
-        stream.write(f"# {key}: {val}\n")
-    grid = [columns] + [[_cell_text(row.get(c)) for c in columns] for row in rows]
+    head = [f"magicfiber {__version__} :: {record['command']}"]
+    head += [f"{key}: {val}" for key, val in record["inputs"].items()]
+    if record["tolerances"]:
+        head.append("tol: {tol}  max_bits: {max_bits}".format(**record["tolerances"]))
+    head += [f"{key}: {val}" for key, val in record.get("info", {}).items()]
+    tail = [f"{key}: {_cell_text(val)}" for key, val in record.get("summary", {}).items()]
     widths = [max(len(r[i]) for r in grid) for i in range(len(columns))]
-    for r in grid:
-        stream.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
-    for key, val in (record.get("summary") or {}).items():
-        stream.write(f"# {key}: {_cell_text(val)}\n")
+    body = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in grid]
+    stream.writelines(f"# {line}\n" for line in head)
+    stream.writelines(f"{line}\n" for line in body)
+    stream.writelines(f"# {line}\n" for line in tail)
 
 
-def cmd_class(args, out) -> int:
+# Each cmd_* returns its record and its outcome, which main maps to the exit
+# code: an int is the code itself (1 for a failed verify suite); an error
+# message follows the record on stderr and exits 2.
+
+
+def cmd_class(args):
     fc = FiberedClass(args.x, args.y, args.z)
     tol = _as_tol(args.tol)
-    base = {
-        "x": fc.x,
-        "y": fc.y,
-        "z": fc.z,
-        "norm": thurston_norm(fc),
-        "in_cone": in_fibered_cone(fc),
-    }
-    inputs = {"x": fc.x, "y": fc.y, "z": fc.z}
-    if args.norm_only:
-        rec = _record("class", inputs, args, COLUMNS["class_norm_only"], [base])
-        _emit(rec, args.format, out)
-        return 0
-    if fc.coords() == (0, 0, 0):
-        rec = _record("class", inputs, args, COLUMNS["class_norm_only"], [base])
-        _emit(rec, args.format, out)
-        print("error: the zero class is not fibered (primitivity undefined)",
-              file=sys.stderr)
-        return 2
-    base["primitive"] = is_primitive(fc)
-    if not base["in_cone"] or not base["primitive"]:
-        rec = _record("class", inputs, args,
-                      COLUMNS["class_norm_only"] + ["primitive"], [base])
-        _emit(rec, args.format, out)
-        print(f"error: {fc.coords()} has no fiber data "
-              "(needs a primitive class in the open cone); "
-              "use --norm-only to silence", file=sys.stderr)
-        return 2
-    fd = fiber_data(fc)
-    poly = dilatation_poly(fc)
-    root = unique_root_gt1(poly, tol, max_bits=args.max_bits)
-    lo, hi, val = _root_fields(root, _value_places(tol))
-    base.update(
-        genus=fd.genus, n_total=fd.n_total, b_alpha=fd.b_alpha,
-        b_beta=fd.b_beta, b_gamma=fd.b_gamma, prongs_alpha=fd.prongs_alpha,
-        prongs_beta=fd.prongs_beta, prongs_gamma=fd.prongs_gamma,
-        degree=poly.degree(), poly=str(poly),
-    )
-    base["lambda_lo"] = lo
-    base["lambda_hi"] = hi
-    base["lambda"] = val
-    rec = _record("class", inputs, args, COLUMNS["class"], [base])
-    _emit(rec, args.format, out)
-    return 0
+    inputs = fc._asdict()
+    cells = {**inputs, "norm": thurston_norm(fc), "in_cone": in_fibered_cone(fc)}
+    outcome = 0
+    if not args.norm_only and fc.coords() == (0, 0, 0):
+        outcome = "the zero class is not fibered (primitivity undefined)"
+    elif not args.norm_only:
+        cells["primitive"] = is_primitive(fc)
+        if not (cells["in_cone"] and cells["primitive"]):
+            outcome = (f"{fc.coords()} has no fiber data "
+                       "(needs a primitive class in the open cone); "
+                       "use --norm-only to silence")
+        else:
+            fd = fiber_data(fc)
+            poly = dilatation_poly(fc)
+            root = unique_root_gt1(poly, tol, max_bits=args.max_bits)
+            cells.update(_fiber_cells(fd), degree=poly.degree(), poly=str(poly),
+                         **_root_cells(root, _value_places(tol)))
+    # A class without fiber data stops at the cells computed for it.
+    columns = [c for c in COLUMNS["class"] if c in cells]
+    return _record(args, inputs, columns, [cells]), outcome
 
 
-def cmd_family(args, out) -> int:
+def cmd_family(args):
     from .family import family_class, family_dilatation, family_fiber_data
 
     tol = _as_tol(args.tol)
@@ -277,38 +270,20 @@ def cmd_family(args, out) -> int:
     for p in range(args.p_max + 1):
         fc = family_class(args.genus, p)
         root = family_dilatation(args.genus, p, tol, max_bits=args.max_bits)
-        lo, hi, val = _root_fields(root, places)
-        row = {
+        fd = family_fiber_data(args.genus, p) if fc.primitive else None
+        rows.append({
             "p": p,
-            "x": fc.fibered_class.x,
-            "y": fc.fibered_class.y,
-            "z": fc.fibered_class.z,
+            **fc.fibered_class._asdict(),
             "primitive": fc.primitive,
             "norm": thurston_norm(fc.fibered_class),
-            "genus": None, "n_total": None, "b_alpha": None, "b_beta": None,
-            "b_gamma": None, "prongs_alpha": None, "prongs_beta": None,
-            "prongs_gamma": None,
-            "lambda_lo": lo, "lambda_hi": hi, "lambda": val,
-        }
-        if fc.primitive:
-            fd = family_fiber_data(args.genus, p)
-            row.update(
-                genus=fd.genus, n_total=fd.n_total, b_alpha=fd.b_alpha,
-                b_beta=fd.b_beta, b_gamma=fd.b_gamma,
-                prongs_alpha=fd.prongs_alpha, prongs_beta=fd.prongs_beta,
-                prongs_gamma=fd.prongs_gamma,
-            )
-        rows.append(row)
-    rec = _record(
-        "family", {"g": args.genus, "p_max": args.p_max}, args,
-        COLUMNS["family"], rows,
-        info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME},
-    )
-    _emit(rec, args.format, out)
-    return 0
+            **_fiber_cells(fd),
+            **_root_cells(root, places),
+        })
+    inputs = {"g": args.genus, "p_max": args.p_max}
+    return _record(args, inputs, COLUMNS["family"], rows), 0
 
 
-def cmd_bounds(args, out) -> int:
+def cmd_bounds(args):
     from .family import upper_bound_table
 
     tol = _as_tol(args.tol)
@@ -317,44 +292,39 @@ def cmd_bounds(args, out) -> int:
     table = upper_bound_table(args.genus, n_min, n_max, tol, jobs=args.jobs)
     rows = []
     for row in table:
-        cells = {
+        entry = row.record
+        rows.append({
             "n": row.n,
-            "status": "ok" if row.record else "no_witness",
-            "witness_p": row.record.witness_p if row.record else None,
-            "filled": "+".join(row.record.filled) if row.record else None,
+            "status": "ok" if entry else "no_witness",
+            "witness_p": entry.witness_p if entry else None,
+            "filled": "+".join(entry.filled) if entry else None,
             "pruned_p": ";".join(str(p) for p in row.pruned_p),
-            "lambda_lo": None, "lambda_hi": None, "lambda": None,
-        }
-        if row.record:
-            lo, hi, val = _root_fields(row.record.bound, places)
-            cells.update(lambda_lo=lo, lambda_hi=hi)
-            cells["lambda"] = val
-        rows.append(cells)
-    rec = _record(
-        "bounds", {"g": args.genus, "n": args.punctures}, args,
-        COLUMNS["bounds"], rows,
-        info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME},
-    )
-    _emit(rec, args.format, out)
-    return 0
+            **_root_cells(entry.bound if entry else None, places),
+        })
+    inputs = {"g": args.genus, "n": args.punctures}
+    return _record(args, inputs, COLUMNS["bounds"], rows), 0
 
 
-def cmd_star(args, out) -> int:
+def cmd_star(args):
     from .family import condition_star
 
     rows = []
     for g in range(2, args.max + 1):
         holds, witness = condition_star(g)
         rows.append({"g": g, "holds": holds, "witness_s": witness})
-    rec = _record("star", {"g_max": args.max}, args, COLUMNS["star"], rows,
-                  info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME})
-    _emit(rec, args.format, out)
-    return 0
+    return _record(args, {"g_max": args.max}, COLUMNS["star"], rows), 0
 
 
-def cmd_asymp(args, out) -> int:
+def cmd_asymp(args):
     from .asymptotics import b_family, bracket_check, ratio_table
 
+    for mode, flags in ASYMP_FLAGS.items():
+        for flag, default in flags.items():
+            dest = flag.lstrip("-").replace("-", "_")
+            if mode == args.mode and getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif mode != args.mode and getattr(args, dest) is not None:
+                raise ValueError(f"{flag} does not apply to asymp {args.mode}")
     tol = _as_tol(args.tol)
     fam = b_family(args.genus)
     if args.mode == "bracket":
@@ -372,51 +342,38 @@ def cmd_asymp(args, out) -> int:
             "holds_tail": report.holds_tail,
             "failures": ";".join(str(m) for m in report.failures),
         }
-        rec = _record(
-            "asymp", {"mode": "bracket", "g": args.genus, "c1": args.c1,
-                      "c2": args.c2, "m": args.m_range},
-            args, COLUMNS["asymp_bracket"], [row],
-            info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME},
-        )
-        _emit(rec, args.format, out)
-        return 0
+        inputs = {"mode": "bracket", "g": args.genus, "c1": args.c1, "c2": args.c2,
+                  "m": args.m_range}
+        return _record(args, inputs, COLUMNS["asymp_bracket"], [row]), 0
     points = _parse_points(args.points)
     table = ratio_table(fam, args.q, args.v, points, tol, jobs=args.jobs)
     places = _value_places(tol)
-    rows = []
-    for r in table.rows:
-        lo, hi, _ = _root_fields(r.root, places)
-        rows.append({
+    rows = [
+        {
             "m": r.m,
             "n": str(r.n),
-            "lambda_lo": lo,
-            "lambda_hi": hi,
+            **_root_cells(r.root, places),
             "ratio_lo": repr(r.ratio_lo),
             "ratio_hi": repr(r.ratio_hi),
-        })
-    rec = _record(
-        "asymp", {"mode": "ratio", "g": args.genus, "q": args.q, "v": args.v,
-                  "points": args.points},
-        args, COLUMNS["asymp_ratio"], rows,
-        info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME},
-        summary={
-            "strictly_decreasing": table.strictly_decreasing,
-            "strictly_increasing": table.strictly_increasing,
-        },
-    )
-    _emit(rec, args.format, out)
-    return 0
+        }
+        for r in table.rows
+    ]
+    inputs = {"mode": "ratio", "g": args.genus, "q": args.q, "v": args.v,
+              "points": args.points}
+    summary = {
+        "strictly_decreasing": table.strictly_decreasing,
+        "strictly_increasing": table.strictly_increasing,
+    }
+    return _record(args, inputs, COLUMNS["asymp_ratio"], rows, summary), 0
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args):
     from .verify import run_suites
 
     results = run_suites(args.suites, jobs=args.jobs)
     rows = [{"suite": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    rec = _record("verify", {"suites": " ".join(args.suites)}, args, COLUMNS["verify"],
-                  rows, info={"magic_manifold_volume": MAGIC_MANIFOLD_VOLUME})
-    _emit(rec, args.format, out)
-    return 0 if all(r.passed for r in results) else 1
+    rec = _record(args, {"suites": " ".join(args.suites)}, COLUMNS["verify"], rows)
+    return rec, 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,13 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("mode", choices=("bracket", "ratio"))
     sp.add_argument("-g", "--genus", type=int, default=2)
-    sp.add_argument("--c1", default="0.9", help="lower exponent (bracket mode)")
-    sp.add_argument("--c2", default="1.1", help="upper exponent (bracket mode)")
-    sp.add_argument("--m-range", default="2..2000", help="m sweep (bracket mode)")
-    sp.add_argument("-q", default="2", help="ratio slope (ratio mode)")
-    sp.add_argument("-v", default="4", help="ratio offset (ratio mode)")
-    sp.add_argument("--points", default="10,100,1000,10000",
-                    help="comma-separated m values (ratio mode)")
+    # No defaults here: cmd_asymp fills in ASYMP_FLAGS for the mode it runs.
+    sp.add_argument("--c1", help="lower exponent (bracket mode)")
+    sp.add_argument("--c2", help="upper exponent (bracket mode)")
+    sp.add_argument("--m-range", help="m sweep (bracket mode)")
+    sp.add_argument("-q", help="ratio slope (ratio mode)")
+    sp.add_argument("-v", help="ratio offset (ratio mode)")
+    sp.add_argument("--points", help="comma-separated m values (ratio mode)")
     sp.set_defaults(func=cmd_asymp)
 
     sp = sub.add_parser(
@@ -517,14 +474,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    record = None
     try:
-        return args.func(args, sys.stdout)
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NotInConeError, NotPrimitiveError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        record, outcome = args.func(args)
+    except (PrecisionError, NotInConeError, NotPrimitiveError, ValueError, OverflowError) as exc:
+        outcome = exc
+    if record is not None:
+        _emit(record, args.format, sys.stdout)
+    if isinstance(outcome, int):
+        return outcome
+    print(f"error: {outcome}", file=sys.stderr)
+    return 3 if isinstance(outcome, PrecisionError) else 2
 
 
 if __name__ == "__main__":

@@ -121,13 +121,6 @@ class CertifiedRoot(NamedTuple):
     value: Fraction
     tol: Fraction
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def evaluate_certified(f: SparsePoly, t, bits: int = DEFAULT_BITS) -> Enclosure:
     """Enclose f(t) at an exact dyadic t > 0 with ``bits`` of precision.
@@ -154,8 +147,6 @@ def _certified_sign(exps, coeffs, num, k, bits, max_bits) -> int:
             return 1
         if hi < 0:
             return -1
-        if lo == 0 == hi:
-            return 0
         if prec >= max_bits:
             raise PrecisionError(
                 f"sign undetermined at the {max_bits}-bit precision ceiling"

@@ -246,6 +246,11 @@ class TestFlagSets:
             ("bounds", "-g", "2", "-n", "3..4", "--max-bits", "8"),
             ("star", "--tol", "1e-3"),
             ("class", "3", "1", "-2", "--jobs", "2"),
+            # each asymp mode takes only its own flags
+            ("asymp", "ratio", "--c1", "0.5", "--m-range", "2..3", "--points", "10"),
+            ("asymp", "bracket", "-q", "7", "-v", "1", "--points", "5", "--m-range", "2..3"),
+            ("asymp", "ratio", "--c1", "0.5", "--points", "10"),
+            ("asymp", "bracket", "--points", "5", "--m-range", "2..3"),
         ],
     )
     def test_flag_not_applied_is_usage_error(self, argv):
@@ -263,6 +268,15 @@ class TestFlagSets:
         _, out = run_cli("class", "3", "1", "-2", "--tol", "1e-6", "--max-bits", "256",
                          "--format", "json")
         assert json.loads(out)["tolerances"] == {"tol": "1e-6", "max_bits": 256}
+        # an asymp mode flag left out is echoed at its default
+        _, out = run_cli("asymp", "ratio", "--points", "10", "--format", "json")
+        assert json.loads(out)["inputs"] == {
+            "mode": "ratio", "g": 2, "q": "2", "v": "4", "points": "10",
+        }
+        _, out = run_cli("asymp", "bracket", "--m-range", "2..3", "--format", "json")
+        assert json.loads(out)["inputs"] == {
+            "mode": "bracket", "g": 2, "c1": "0.9", "c2": "1.1", "m": "2..3",
+        }
 
 
 class TestVerifyCommand:

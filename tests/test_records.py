@@ -5,6 +5,7 @@ construction, ``_replace`` and unpickling included.  Records cross the
 ``--jobs`` process pool by pickle, so they must survive a round trip.
 """
 
+import doctest
 import pickle
 import re
 from fractions import Fraction
@@ -90,10 +91,13 @@ class TestSparsePoly:
 
 
 class TestPlainRecords:
-    def test_fiber_data_repr_matches_the_readme(self):
+    def test_readme_library_block_runs_as_a_doctest(self):
         text = README.read_text()
-        block = text.split(">>> mf.fiber_data((3, 1, -2))\n", 1)[1].split(">>>", 1)[0]
-        assert repr(fiber_data((3, 1, -2))) == " ".join(block.split())
+        block = text.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        test = doctest.DocTestParser().get_doctest(block, {}, "README Library", str(README), 0)
+        runner = doctest.DocTestRunner(optionflags=doctest.NORMALIZE_WHITESPACE)
+        failed, attempted = runner.run(test)
+        assert (failed, attempted) == (0, 9)
 
     def test_fields_cannot_be_set(self):
         fd = fiber_data((3, 1, -2))
