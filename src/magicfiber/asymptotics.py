@@ -12,7 +12,9 @@ Comparisons against m^(c/m) are exact: for c = a/b the inequality
 lambda > m^(c/m) is equivalent to lambda^(b*m) > m^a, which is decided at
 the certified bracket endpoints (refining the root bracket whenever the
 threshold falls inside it): by float logs when they differ by far more than
-their rounding error, else by outward-rounded integer interval powers.
+their rounding error, else by the certified sign of the two-term polynomial
+t^(b*m) - m^a at the endpoint, from the root finder's own sign routine and
+under its precision ceiling.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._kernel import pow_enclosure
 from ._pool import pmap
 from .polynomials import SparsePoly, family_poly
 from .roots import (
@@ -34,6 +35,7 @@ from .roots import (
     PrecisionError,
     _as_fraction,
     _as_tol,
+    _certified_sign,
     as_dyadic,
     unique_root_gt1,
 )
@@ -72,10 +74,12 @@ def _dyadic_pow_cmp(x: Fraction, e: int, m: int, a: int) -> int:
     Floats decide first, by the sign of d = ln(e ln x) - ln(a ln m), taken as
     a sum of four logs so that no exponent overflows a float.  Each log errs
     by a few ulps of its own size, so |d| above _LOG_PAD times the logs'
-    total size settles the sign.  Only a closer call builds m**a and the
-    interval power of x, whose integers grow with e and a.  A close call
-    means e ln x is near a ln m, so both powers have about a log2(m) bits;
-    past DEFAULT_MAX_BITS of them it raises PrecisionError instead.
+    total size settles the sign.  A closer call takes the certified sign of
+    x**e - m**a from the root finder's escalating interval kernel; an exact
+    tie reads 0, since it needs an integer x, at which every product is
+    exact.  A close call means e ln x is near a ln m, so both powers have
+    about a log2(m) bits; past DEFAULT_MAX_BITS of them, or when that
+    precision ceiling cannot separate them, it raises PrecisionError.
     """
     y = float(x - 1)
     if y >= sys.float_info.min:  # a subnormal or zero x - 1 has lost precision
@@ -85,23 +89,11 @@ def _dyadic_pow_cmp(x: Fraction, e: int, m: int, a: int) -> int:
             return 1 if d > 0 else -1
     if a * m.bit_length() > DEFAULT_MAX_BITS:
         raise PrecisionError(
-            f"cannot tell x^{e} from {m}^{a} by float logs, and the exact powers "
+            f"cannot tell x^{e} from {m}^{a} by float logs, and the powers "
             f"would exceed {DEFAULT_MAX_BITS} bits"
         )
-    rhs = m**a
     num, k = as_dyadic(x)
-    prec = 192
-    for _ in range(3):
-        lo, hi = pow_enclosure(num, k, e, max(prec, k))
-        target = rhs << max(prec, k)
-        if lo > target:
-            return 1
-        if hi < target:
-            return -1
-        prec *= 2
-    lhs = num**e
-    scaled = rhs << (k * e)
-    return (lhs > scaled) - (lhs < scaled)
+    return _certified_sign([e, 0], [1, -(m**a)], num, k, DEFAULT_MAX_BITS)
 
 
 def _cmp_root_to_power(

@@ -26,7 +26,6 @@ from ._pool import pmap
 from .homology import FiberData, FiberedClass, NotPrimitiveError
 from .polynomials import family_poly
 from .roots import (
-    DEFAULT_BITS,
     DEFAULT_MAX_BITS,
     DEFAULT_TOL,
     CertifiedRoot,
@@ -139,11 +138,10 @@ def family_dilatation(
     p: int,
     tol=DEFAULT_TOL,
     *,
-    bits: int = DEFAULT_BITS,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> CertifiedRoot:
     """Certified dilatation of the (g, p) class (defined for all g, p >= 0)."""
-    return unique_root_gt1(family_poly(g, p), tol, bits=bits, max_bits=max_bits)
+    return unique_root_gt1(family_poly(g, p), tol, max_bits=max_bits)
 
 
 def filled_variants(g: int, p: int) -> list[tuple[int, tuple[str, ...]]]:

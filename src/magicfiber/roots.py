@@ -19,7 +19,9 @@ Most roots skip the upper part of the path ("guess, then certify", after
 Sagraloff and Mehlhorn, J. Symbolic Comput. 2016).  A floating-point
 estimate of lambda predicts the cell, on the grid with w = 1, at the
 deepest level that its error bound fits in, at most the stopping level.
-If the certified signs f(lo) < 0 < f(hi) confirm the cell, bisection starts
+That level may lie below the tol level when lambda - 1 < 2*tol, since
+bisection from (0, 0) goes on until its cell's lower end leaves 1.  If the
+certified signs f(lo) < 0 < f(hi) confirm the cell, bisection starts
 there, and f(b) is never evaluated: hi <= 2 proves b = 2.  An estimate that
 allows lambda >= 2, or a cell the signs refute, starts from the doubling
 search for b and the cell (0, 0).  The estimate only chooses the start;
@@ -27,12 +29,15 @@ every accepted step is backed by a certified sign.
 
 Signs come from fixed-point interval arithmetic on exact integers: the point
 t is an exact dyadic rational, each term t**e is enclosed by binary powering
-with outward rounding at ``bits`` of fractional precision, and a sign is
-certified only when the resulting enclosure excludes zero.  When it does not
-(cancellation near t = 1 grows with the degree), the precision is doubled up
-to a ceiling, after which ``PrecisionError`` is raised.  Because every
-decision depends only on true signs, brackets are bitwise reproducible and
-independent of the precision-escalation path.
+with outward rounding at a fractional precision that starts at
+``DEFAULT_BITS``, and a sign is certified only when the resulting enclosure
+excludes zero.  When it does not (cancellation near t = 1 grows with the
+degree), the precision is doubled up to a ceiling, after which
+``PrecisionError`` is raised.  The same ceiling bounds the size of t**deg:
+a point where deg*(t - 1)/ln 2, an upper bound on deg*log2(t), exceeds it
+raises ``PrecisionError`` before the kernel builds any integer.  Because
+every decision depends only on true signs, brackets are bitwise
+reproducible and independent of the precision-escalation path.
 """
 
 from __future__ import annotations
@@ -139,14 +144,19 @@ def evaluate_certified(f: SparsePoly, t, bits: int = DEFAULT_BITS) -> Enclosure:
     return Enclosure(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
-def _certified_sign(exps, coeffs, num, k, bits, max_bits) -> int:
-    prec = min(max(bits, k + 64), max_bits)
+def _certified_sign(exps, coeffs, num, k, max_bits) -> int:
+    prec = min(max(DEFAULT_BITS, k + 64), max_bits)
     while True:
         lo, hi = eval_enclosure(exps, coeffs, num, k, prec)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
+        if lo == hi:
+            # An exact zero.  Isolation's roots are irrational, so only a
+            # power comparison x**e - m**a at an integer x gets here: with
+            # prec >= k every kernel product is then exact.
+            return 0
         if prec >= max_bits:
             raise PrecisionError(
                 f"sign undetermined at the {max_bits}-bit precision ceiling"
@@ -173,7 +183,6 @@ def unique_root_gt1(
     f: SparsePoly,
     tol=DEFAULT_TOL,
     *,
-    bits: int = DEFAULT_BITS,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> CertifiedRoot:
     """Certified bracket of the unique real root of f above 1.
@@ -188,6 +197,8 @@ def unique_root_gt1(
     after doubling b from 2 until f(b) > 0.  Both starts lie on the same
     bisection path, so the bracket is the same bits either way; every step
     is sign-certified, and none can land on the irrational root.
+    ``PrecisionError`` is raised when a sign needs more than ``max_bits`` of
+    precision, or when a bound on the bits of t**deg at a point exceeds it.
     """
     tol = _as_tol(tol)
     exps = f.exponents()
@@ -200,8 +211,16 @@ def unique_root_gt1(
     ):
         raise ValueError("need coefficient signs +1, -, ..., -, +1 and f(1) < 0")
 
+    deg = exps[0]
+
     def sign_at(num: int, k: int) -> int:
-        return _certified_sign(exps, coeffs, num, k, bits, max_bits)
+        # t**deg has about deg*log2(t) <= deg*(t - 1)/ln 2 bits, and
+        # 1443/1000 > 1/ln 2: refuse before the kernel builds the integers.
+        if deg * (num - (1 << k)) * 1443 > (max_bits * 1000) << k:
+            raise PrecisionError(
+                f"t^{deg} at t = {Fraction(num, 1 << k)} exceeds the {max_bits}-bit ceiling"
+            )
+        return _certified_sign(exps, coeffs, num, k, max_bits)
 
     w, stop = 1, _grid_level(tol)
     cell = _start_cell(exps, coeffs, stop)
@@ -246,8 +265,12 @@ def _start_cell(exps, coeffs, max_level: int):
     """The grid cell predicted to hold the root, as (i, level).
 
     The cell is [1 + i/2**level, 1 + (i+1)/2**level], at the deepest level
-    <= max_level whose cell holds the estimate's whole error interval.
-    None when the estimate allows a root >= 2.
+    whose cell holds the estimate's whole error interval, capped at
+    max_level (the tol level) or, deeper, at the last level where the
+    estimate still puts lambda - 1 below 2**-(level - 1): bisection from
+    (0, 0) keeps index 0, and so goes on, down to that level.  So the start
+    cell may lie below the tol level.  None when the estimate allows a
+    root >= 2.
     """
     est = _estimate_root(exps, coeffs)
     if est is None:
@@ -255,7 +278,8 @@ def _start_cell(exps, coeffs, max_level: int):
     x, err = est
     if x + err >= 1:
         return None
-    level = min(max_level, -math.frexp(err)[1])  # no deeper than err < 2**-level
+    # no deeper than err < 2**-level, nor than x + err < 2**-(level - 1) allows
+    level = min(max(max_level, 1 - math.frexp(x + err)[1]), -math.frexp(err)[1])
     lo = math.floor(math.ldexp(max(x - err, 0.0), level))
     hi = math.floor(math.ldexp(x + err, level))
     shift = (lo ^ hi).bit_length()  # levels to climb until both ends share a cell

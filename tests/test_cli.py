@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -237,6 +238,36 @@ class TestHugeExponentDenominator:
         assert elapsed < 10, f"took {elapsed:.1f} s"
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
+
+
+def _limit_address_space():
+    # runs in the child only: 1 GiB of address space
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # degree about 2**62: t**deg at t = 2 would not fit the 2**20-bit ceiling
+        (["class", "4611686018427387904", "1", "0"], 3),
+        # lambda - 1 is about 6e-29, far below tol
+        (["asymp", "ratio", "-g", "2", "-q", "2", "-v", "4", "--points", str(10**30)], 0),
+        # a near-tie with an exponent denominator of 10**12
+        (["asymp", "bracket", "-g", "2", "--c1", "759987450781/1000000000000", "--m-range", "2..2"], 3),
+    ],
+)
+def test_extreme_inputs_finish_in_bounded_memory(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(magicfiber.__file__).parents[1])}
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "magicfiber", *argv],
+        capture_output=True, text=True, env=env, timeout=20,
+        preexec_fn=_limit_address_space,
+    )
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 5, f"took {elapsed:.1f} s"
 
 
 class TestFlagSets:

@@ -107,11 +107,14 @@ class TestUniqueRoot:
             assert prev.lo <= nxt.lo <= nxt.hi <= prev.hi
             prev = nxt
 
-    def test_escalation_path_independence(self):
+    def test_escalation_path_independence(self, monkeypatch):
         f = family_poly(2, 30)
-        a = unique_root_gt1(f, bits=64)
-        b = unique_root_gt1(f, bits=4096)
-        assert (a.lo, a.hi) == (b.lo, b.hi)
+        brackets = []
+        for bits in (64, 4096):
+            monkeypatch.setattr(roots, "DEFAULT_BITS", bits)
+            r = unique_root_gt1(f)
+            brackets.append((r.lo, r.hi))
+        assert brackets[0] == brackets[1]
 
     def test_exact_dyadic_root(self):
         # t - 2 has the dyadic root 2, but its constant term is not 1: only
@@ -205,10 +208,14 @@ def bracket(f, tol):
 
 
 def reference_bracket(f, tol):
-    """The bracket of bisection from (1, b), the path without an estimate."""
+    """The bracket of bisection from (1, b), the path without an estimate.
+
+    The ceiling admits f(2) at degree 2*10**6; brackets do not depend on it.
+    """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots, "_estimate_root", lambda exps, coeffs: None)
-        return bracket(f, tol)
+        r = unique_root_gt1(f, tol, max_bits=1 << 22)
+    return (r.lo, r.hi, r.value)
 
 
 class TestGuessedStart:
@@ -305,3 +312,39 @@ def test_no_far_point_evaluation(monkeypatch):
     assert 1 < r.lo < r.hi < 2
     assert len(points) <= 3
     assert (2, 0) not in points
+
+
+def _near_points_only(monkeypatch, deg, limit):
+    """Wrap the kernel: fail on a point with deg*(t - 1) > limit, before it runs."""
+    points = []
+    kernel = roots.eval_enclosure
+
+    def checked(exps, coeffs, tnum, tk, prec):
+        assert deg * (tnum - (1 << tk)) <= limit << tk, (tnum, tk)
+        points.append((tnum, tk))
+        return kernel(exps, coeffs, tnum, tk, prec)
+
+    monkeypatch.setattr(roots, "eval_enclosure", checked)
+    return points
+
+
+def test_deep_start_cell(monkeypatch):
+    # lambda - 1 is about 6e-29, far below tol: the start cell lies below the
+    # tol level, where t**deg stays small
+    f = family_poly(2, 10**30)
+    points = _near_points_only(monkeypatch, f.degree(), 1 << 10)
+    r = unique_root_gt1(f)
+    # the cell (1, j) at the first level j with 2**-j <= lambda - 1, certified
+    # at its two ends with one escalation each, and no bisection step
+    assert r.hi - 1 == 2 * (r.lo - 1) < Fraction(1, 10**27)
+    assert len(set(points)) == 2 and len(points) <= 4
+
+
+def test_size_guard_refuses_before_the_kernel(monkeypatch):
+    # class (2**62, 1, 0): lambda is just above 2, so the estimate gives up
+    # and the first point, t = 2, would need a 2**62-bit integer
+    f = dilatation_poly((2**62, 1, 0))
+    points = _near_points_only(monkeypatch, f.degree(), 0)
+    with pytest.raises(PrecisionError, match="ceiling"):
+        unique_root_gt1(f)
+    assert points == []
