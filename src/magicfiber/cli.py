@@ -32,8 +32,6 @@ from fractions import Fraction
 from . import __version__
 from .homology import (
     FiberedClass,
-    NotInConeError,
-    NotPrimitiveError,
     fiber_data,
     in_fibered_cone,
     is_primitive,
@@ -77,14 +75,6 @@ COLUMNS = {
     "asymp_ratio": ["m", "n", *ROOT_FIELDS[:2], "ratio_lo", "ratio_hi"],
     "verify": ["suite", "passed", "detail"],
 }
-
-# The flags of each asymp mode and their defaults; a flag of the other mode
-# is a usage error, so the parser leaves all of them at None.
-ASYMP_FLAGS = {
-    "bracket": {"--c1": "0.9", "--c2": "1.1", "--m-range": "2..2000"},
-    "ratio": {"-q": "2", "-v": "4", "--points": "10,100,1000,10000"},
-}
-
 
 def dyadic_decimal(x: Fraction) -> str:
     """Exact decimal string of a dyadic rational (no float ambiguity)."""
@@ -315,36 +305,35 @@ def cmd_star(args):
     return _record(args, {"g_max": args.max}, COLUMNS["star"], rows), 0
 
 
-def cmd_asymp(args):
-    from .asymptotics import b_family, bracket_check, ratio_table
+def cmd_asymp_bracket(args):
+    from .asymptotics import b_family, bracket_check
 
-    for mode, flags in ASYMP_FLAGS.items():
-        for flag, default in flags.items():
-            dest = flag.lstrip("-").replace("-", "_")
-            if mode == args.mode and getattr(args, dest) is None:
-                setattr(args, dest, default)
-            elif mode != args.mode and getattr(args, dest) is not None:
-                raise ValueError(f"{flag} does not apply to asymp {args.mode}")
     tol = _as_tol(args.tol)
     fam = b_family(args.genus)
-    if args.mode == "bracket":
-        m_lo, m_hi = _parse_range(args.m_range)
-        report = bracket_check(fam, args.c1, args.c2, m_lo, m_hi, tol, jobs=args.jobs)
-        row = {
-            "c_lower": str(report.c_lower),
-            "c_upper": str(report.c_upper),
-            "m_lo": report.m_lo,
-            "m_hi": report.m_hi,
-            "checked": report.m_hi - report.m_lo + 1,
-            "n_failures": len(report.failures),
-            "largest_failure": report.largest_failure,
-            "threshold": report.threshold,
-            "holds_tail": report.holds_tail,
-            "failures": ";".join(str(m) for m in report.failures),
-        }
-        inputs = {"mode": "bracket", "g": args.genus, "c1": args.c1, "c2": args.c2,
-                  "m": args.m_range}
-        return _record(args, inputs, COLUMNS["asymp_bracket"], [row]), 0
+    m_lo, m_hi = _parse_range(args.m_range)
+    report = bracket_check(fam, args.c1, args.c2, m_lo, m_hi, tol, jobs=args.jobs)
+    row = {
+        "c_lower": str(report.c_lower),
+        "c_upper": str(report.c_upper),
+        "m_lo": report.m_lo,
+        "m_hi": report.m_hi,
+        "checked": report.m_hi - report.m_lo + 1,
+        "n_failures": len(report.failures),
+        "largest_failure": report.largest_failure,
+        "threshold": report.threshold,
+        "holds_tail": report.holds_tail,
+        "failures": ";".join(str(m) for m in report.failures),
+    }
+    inputs = {"mode": "bracket", "g": args.genus, "c1": args.c1, "c2": args.c2,
+              "m": args.m_range}
+    return _record(args, inputs, COLUMNS["asymp_bracket"], [row]), 0
+
+
+def cmd_asymp_ratio(args):
+    from .asymptotics import b_family, ratio_table
+
+    tol = _as_tol(args.tol)
+    fam = b_family(args.genus)
     points = _parse_points(args.points)
     table = ratio_table(fam, args.q, args.v, points, tol, jobs=args.jobs)
     places = _value_places(tol)
@@ -441,22 +430,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", type=_int_at_least(2), default=20)
     sp.set_defaults(func=cmd_star)
 
-    sp = sub.add_parser(
-        "asymp", parents=[tol, fmt, jobs],
-        help="asymptotic sweeps for the (g, p) family",
-        epilog="CSV columns (bracket): " + ",".join(COLUMNS["asymp_bracket"]) +
-               "; (ratio): " + ",".join(COLUMNS["asymp_ratio"]),
+    # Each mode is its own parser, so it takes only its own flags.
+    sp = sub.add_parser("asymp", help="asymptotic sweeps for the (g, p) family")
+    modes = sp.add_subparsers(dest="mode", required=True)
+    sp = modes.add_parser(
+        "bracket", parents=[tol, fmt, jobs],
+        help="check m^(c1/m) < lambda_m < m^(c2/m) over an m sweep",
+        epilog="CSV columns: " + ",".join(COLUMNS["asymp_bracket"]),
     )
-    sp.add_argument("mode", choices=("bracket", "ratio"))
-    sp.add_argument("-g", "--genus", type=int, default=2)
-    # No defaults here: cmd_asymp fills in ASYMP_FLAGS for the mode it runs.
-    sp.add_argument("--c1", help="lower exponent (bracket mode)")
-    sp.add_argument("--c2", help="upper exponent (bracket mode)")
-    sp.add_argument("--m-range", help="m sweep (bracket mode)")
-    sp.add_argument("-q", help="ratio slope (ratio mode)")
-    sp.add_argument("-v", help="ratio offset (ratio mode)")
-    sp.add_argument("--points", help="comma-separated m values (ratio mode)")
-    sp.set_defaults(func=cmd_asymp)
+    sp.add_argument("-g", "--genus", type=int, default=2, help="(default: %(default)s)")
+    sp.add_argument("--c1", default="0.9", help="lower exponent (default: %(default)s)")
+    sp.add_argument("--c2", default="1.1", help="upper exponent (default: %(default)s)")
+    sp.add_argument("--m-range", default="2..2000", help="m sweep (default: %(default)s)")
+    sp.set_defaults(func=cmd_asymp_bracket)
+    sp = modes.add_parser(
+        "ratio", parents=[tol, fmt, jobs],
+        help="normalized-entropy ratios n log(lambda_m) / log n, n = q m + v",
+        epilog="CSV columns: " + ",".join(COLUMNS["asymp_ratio"]),
+    )
+    sp.add_argument("-g", "--genus", type=int, default=2, help="(default: %(default)s)")
+    sp.add_argument("-q", default="2", help="ratio slope (default: %(default)s)")
+    sp.add_argument("-v", default="4", help="ratio offset (default: %(default)s)")
+    sp.add_argument("--points", default="10,100,1000,10000",
+                    help="comma-separated m values (default: %(default)s)")
+    sp.set_defaults(func=cmd_asymp_ratio)
 
     sp = sub.add_parser(
         "verify", parents=[fmt, jobs],
@@ -477,7 +474,7 @@ def main(argv=None) -> int:
     record = None
     try:
         record, outcome = args.func(args)
-    except (PrecisionError, NotInConeError, NotPrimitiveError, ValueError, OverflowError) as exc:
+    except (PrecisionError, ValueError, OverflowError) as exc:
         outcome = exc
     if record is not None:
         _emit(record, args.format, sys.stdout)

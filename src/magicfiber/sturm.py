@@ -112,21 +112,12 @@ def _exact_div(f: list[int], g: list[int]) -> list[int]:
 
 
 def _sign_at(p: list[int], num: int, den: int) -> int:
-    # sign of p(num/den) via the homogenized integer value
-    if den == 1:
-        acc = 0
-        for c in reversed(p):
-            acc = acc * num + c
-    else:
-        d = _deg(p)
-        acc = 0
-        npow = 1
-        dpows = [1] * (d + 1)
-        for j in range(1, d + 1):
-            dpows[j] = dpows[j - 1] * den
-        for i, c in enumerate(p):
-            acc += c * npow * dpows[d - i]
-            npow *= num
+    # sign of den^deg * p(num/den), by Horner from the top coefficient
+    acc = 0
+    dpow = 1
+    for c in reversed(p):
+        acc = acc * num + c * dpow
+        dpow *= den
     return (acc > 0) - (acc < 0)
 
 
@@ -142,19 +133,11 @@ def _variations(signs) -> int:
     return count
 
 
-def _variations_at(chain, bound) -> int:
+def _variations_at(chain, bound, side: int) -> int:
+    """Sign variations of the chain at bound; a None bound is side * oo."""
     if bound is None:
-        raise ValueError("internal: use the infinity variants")
-    num, den = bound.numerator, bound.denominator
-    return _variations(_sign_at(q, num, den) for q in chain)
-
-
-def _variations_at_inf(chain, positive: bool) -> int:
-    if positive:
-        return _variations((q[-1] > 0) - (q[-1] < 0) for q in chain)
-    return _variations(
-        ((q[-1] > 0) - (q[-1] < 0)) * (-1 if _deg(q) % 2 else 1) for q in chain
-    )
+        return _variations(((q[-1] > 0) - (q[-1] < 0)) * side ** _deg(q) for q in chain)
+    return _variations(_sign_at(q, bound.numerator, bound.denominator) for q in chain)
 
 
 def _as_bound(x):
@@ -190,17 +173,7 @@ def sturm_count(f: SparsePoly, lower=None, upper=None) -> int:
         if p[-1] < 0:
             p = [-c for c in p]
         chain = _sturm_chain(p)
-    va = (
-        _variations_at_inf(chain, positive=False)
-        if lower is None
-        else _variations_at(chain, lower)
-    )
-    vb = (
-        _variations_at_inf(chain, positive=True)
-        if upper is None
-        else _variations_at(chain, upper)
-    )
-    count = va - vb
+    count = _variations_at(chain, lower, -1) - _variations_at(chain, upper, 1)
     if count < 0:
         raise ArithmeticError("Sturm variation count decreased; oracle bug")
     return count

@@ -246,8 +246,13 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 
 def run_suites(names, jobs: int = 1) -> list[SuiteResult]:
-    """Run the named suites ("all" for every one) in registry order."""
-    selected = list(SUITES) if names in (["all"], ("all",), "all") else list(names)
+    """Run the named suites, in the order given.
+
+    ``names`` is one suite name or a sequence of them; "all" alone runs every
+    suite, in registry order.
+    """
+    names = [names] if isinstance(names, str) else list(names)
+    selected = list(SUITES) if names == ["all"] else names
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}; choose from {list(SUITES)}")

@@ -289,6 +289,20 @@ class TestFlagSets:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "mode, own, other",
+        [
+            ("bracket", ("--c1", "default: 0.9"), "--points"),
+            ("ratio", ("--points", "default: 10,100,1000,10000"), "--c1"),
+        ],
+    )
+    def test_mode_help_lists_its_own_flags_with_defaults(self, mode, own, other):
+        code, out = run_cli("asymp", mode, "--help")
+        text = " ".join(out.split())  # help wraps to the terminal width
+        assert code == 0
+        assert all(word in text for word in own)
+        assert other not in text
+
     def test_echo_is_the_value_in_force(self):
         # star isolates nothing and the verify suites isolate at their own
         # tols, so neither echoes a tolerance

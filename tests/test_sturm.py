@@ -75,6 +75,41 @@ class TestAgainstNumpy:
 
 
 @st.composite
+def rooted_polys(draw):
+    """f = prod (d t - n) over distinct rationals n/d, one repeated 30% of the
+    time, with two bounds drawn from None, the roots and small rationals."""
+    rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+    roots = draw(st.lists(rationals, min_size=1, max_size=6, unique=True))
+    factors = list(roots)
+    if draw(st.integers(0, 9)) < 3:
+        factors.append(draw(st.sampled_from(roots)))
+    dense = [1]
+    for r in factors:  # times (d t - n), ascending coefficients
+        n, d = r.numerator, r.denominator
+        dense = [d * a - n * b for a, b in zip([0] + dense, dense + [0])]
+    bound = st.one_of(st.none(), st.sampled_from(roots), rationals)
+    return make_poly(enumerate(dense)), roots, draw(bound), draw(bound)
+
+
+class TestExactCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(rooted_polys())
+    def test_counts_match_the_known_roots(self, case):
+        f, roots, lower, upper = case
+        if lower is not None and upper is not None:
+            if lower == upper:
+                with pytest.raises(ValueError):
+                    sturm_count(f, lower, upper)
+                return
+            lower, upper = min(lower, upper), max(lower, upper)
+        expected = sum(
+            1 for r in roots
+            if (lower is None or r > lower) and (upper is None or r <= upper)
+        )
+        assert sturm_count(f, lower, upper) == expected
+
+
+@st.composite
 def cone_classes(draw, bound=30):
     """Classes (x, y, z) of the open fibered cone, primitive or not."""
     x = draw(st.integers(1, bound))

@@ -73,6 +73,11 @@ def test_suite_fails_on_an_injected_defect(run, module, name, defect, monkeypatc
     assert not result.passed, f"suite passed with a wrong {module.__name__}.{name}"
 
 
+def test_run_suites_takes_one_name_or_several_in_the_order_given():
+    assert [r.name for r in verify.run_suites("roots")] == ["roots"]
+    assert [r.name for r in verify.run_suites(("identity", "roots"))] == ["identity", "roots"]
+
+
 def test_rootcount_reports_a_degree_over_the_sturm_cap(monkeypatch):
     monkeypatch.setattr(sturm, "STURM_DEGREE_CAP", 3)
     result = verify.suite_rootcount(samples=5)
