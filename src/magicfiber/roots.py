@@ -28,8 +28,9 @@ search for b and the cell (0, 0).  The estimate only chooses the start;
 every accepted step is backed by a certified sign.
 
 Signs come from fixed-point interval arithmetic on exact integers: the point
-t is an exact dyadic rational, each term t**e is enclosed by binary powering
-with outward rounding at a fractional precision that starts at
+t is an exact dyadic rational, f(t) is enclosed by one Horner pass whose
+factors t**gap (gaps between neighbouring exponents) come from binary
+powering, all with outward rounding at a fractional precision that starts at
 ``DEFAULT_BITS``, and a sign is certified only when the resulting enclosure
 excludes zero.  When it does not (cancellation near t = 1 grows with the
 degree), the precision is doubled up to a ceiling, after which

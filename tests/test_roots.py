@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from magicfiber import roots
 from magicfiber import (
     PrecisionError,
+    bound_row,
     dilatation_poly,
     evaluate_certified,
     family_poly,
@@ -335,9 +336,34 @@ def test_deep_start_cell(monkeypatch):
     points = _near_points_only(monkeypatch, f.degree(), 1 << 10)
     r = unique_root_gt1(f)
     # the cell (1, j) at the first level j with 2**-j <= lambda - 1, certified
-    # at its two ends with one escalation each, and no bisection step
+    # at its two ends at the start precision, and no bisection step
     assert r.hi - 1 == 2 * (r.lo - 1) < Fraction(1, 10**27)
-    assert len(set(points)) == 2 and len(points) <= 4
+    assert len(set(points)) == len(points) == 2
+
+
+@pytest.mark.parametrize(
+    "isolate",
+    [
+        lambda: [bound_row(2, n, Fraction("1e-30")) for n in range(3, 101)],
+        lambda: [unique_root_gt1(family_poly(2, m)) for m in range(2, 401)],
+    ],
+    ids=["bound_rows", "family_sweep"],
+)
+def test_no_sign_escalates(monkeypatch, isolate):
+    # every certified sign settles at _certified_sign's start precision; a
+    # point may repeat (bound_row isolates one p more than once), but never
+    # at a higher precision
+    precs = []
+    kernel = roots.eval_enclosure
+
+    def recording(exps, coeffs, tnum, tk, prec):
+        precs.append((prec, max(roots.DEFAULT_BITS, tk + 64)))
+        return kernel(exps, coeffs, tnum, tk, prec)
+
+    monkeypatch.setattr(roots, "eval_enclosure", recording)
+    isolate()
+    assert precs
+    assert [p for p in precs if p[0] != p[1]] == []
 
 
 def test_size_guard_refuses_before_the_kernel(monkeypatch):
