@@ -35,6 +35,7 @@ FORMATTED = [
     "asymp bracket --m-range 2..12 --tol 1e-8",
     "asymp ratio --points 10,20 --tol 1e-8",
     "verify roots identity",
+    "verify rootcount",
 ]
 
 UNFORMATTED = [
@@ -96,6 +97,9 @@ GOLDEN = {
     "verify roots identity --format plain": "e1d80600b6210c2acc5d6c78ab379e5225a077171defc507acb1805787bc4ec9",
     "verify roots identity --format csv": "f3f0d2b770df7aed64568611b0196d7b00ad7b18e7616746303d52fc46c308d2",
     "verify roots identity --format json": "6baaadd28e11c6fdb2ba965c7197e0d15d39f1bc2013f934b5e93d774b44e4d8",
+    "verify rootcount --format plain": "81e2d98f826d593c0ac533557a6fa738a6f5df91ddbcd00075a24551aff45efe",
+    "verify rootcount --format csv": "64d1278986ef69faa3a5ea06de9a8052b51070f77878f8b3630ac36be91bf088",
+    "verify rootcount --format json": "d3f3cabe9a043d1efd1f7dbc8bc72031cb9243738fa95ff3557c6d1d62d07c30",
     "--version": "53b8cf64c9cb72db10b7f889c0003e201794e32496c49063c4e08ebc3140ba3d",
     "": "8face5b294be4fad6a01b86613e3bbe72afe03f4ee0cc10861e6bd179f334f4d",
     "frobnicate": "5227e734f3f672efc0af93df19424ad256bd92cb3fc45a623e9f7fc3dd5136f3",
