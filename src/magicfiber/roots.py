@@ -271,9 +271,13 @@ def _start_cell(exps, coeffs, max_level: int):
     estimate still puts lambda - 1 below 2**-(level - 1): bisection from
     (0, 0) keeps index 0, and so goes on, down to that level.  So the start
     cell may lie below the tol level.  None when the estimate allows a
-    root >= 2.
+    root >= 2, or when an exponent or coefficient is beyond the float range:
+    the estimate is only a guess, and the path from (0, 0) needs none.
     """
-    est = _estimate_root(exps, coeffs)
+    try:
+        est = _estimate_root(exps, coeffs)
+    except OverflowError:
+        est = None
     if est is None:
         return None
     x, err = est

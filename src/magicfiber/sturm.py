@@ -1,4 +1,4 @@
-"""Exact Sturm-chain root counting over the integers.
+"""Exact root counting over the integers: Sturm chains and Descartes' rule.
 
 This is the validation oracle for the Descartes/bisection route, so it stays
 independent of the interval kernel: dense integer polynomials, pseudo
@@ -15,10 +15,18 @@ Every dilatation polynomial f is a palindrome, t^N f(1/t) = f(t): the
 lambda <-> 1/lambda symmetry of a stretch factor.  ``palindromic_half``
 writes it as f(t) = t^(N/2) g(t + 1/t) (after dividing out t + 1 when N is
 odd), with deg g = N/2.  Since t -> t + 1/t maps (1, oo) one to one onto
-(2, oo), the roots of f above 1 are counted by one chain of g on (2, oo), at
-half the degree; t -> 1/t gives the roots in (0, 1) for free.
-"""
+(2, oo), the roots of f above 1 are the roots of g in (2, oo), at half the
+degree; t -> 1/t gives the roots in (0, 1) for free.
 
+Those roots have a cheaper certificate than a chain: ``shifted_variations``
+takes one Taylor shift h(u) = g(u + 2) and counts the sign variations of h.
+By Descartes' rule that count bounds the roots of g in (2, oo), counted with
+multiplicity, and exceeds it by an even number; so a count of 1 proves
+exactly one root there, and a simple one.  This is the test that
+Vincent-Collins-Akritas isolation applies to each interval (Collins and
+Akritas, SYMSAC 1976).  A count above 1 proves nothing, and
+``sturm_count`` stays the exact reference.
+"""
 from __future__ import annotations
 
 import math
@@ -26,7 +34,7 @@ from fractions import Fraction
 
 from .polynomials import SparsePoly
 
-__all__ = ["STURM_DEGREE_CAP", "palindromic_half", "sturm_count"]
+__all__ = ["STURM_DEGREE_CAP", "palindromic_half", "shifted_variations", "sturm_count"]
 
 STURM_DEGREE_CAP = 200
 
@@ -111,6 +119,15 @@ def _exact_div(f: list[int], g: list[int]) -> list[int]:
     return q
 
 
+def _taylor_shift(p: list[int], a: int) -> list[int]:
+    """Ascending coefficients of p(u + a), in place, by O(d^2) exact
+    synthetic division: pass i divides by u - a and keeps remainder i."""
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += a * p[j + 1]
+    return p
+
+
 def _sign_at(p: list[int], num: int, den: int) -> int:
     # sign of den^deg * p(num/den), by Horner from the top coefficient
     acc = 0
@@ -179,6 +196,16 @@ def sturm_count(f: SparsePoly, lower=None, upper=None) -> int:
     return count
 
 
+def shifted_variations(f: SparsePoly, a: int = 2) -> int:
+    """Sign variations of h(u) = f(u + a), an upper bound on f's roots above a.
+
+    The count exceeds the number of roots of f in (a, oo), counted with
+    multiplicity, by an even number (Descartes' rule of signs), so 0 and 1
+    are exact.
+    """
+    return _variations((c > 0) - (c < 0) for c in _taylor_shift(f.dense_ascending(), a))
+
+
 def palindromic_half(f: SparsePoly) -> SparsePoly:
     """The g with f(t) = t^(N/2) g(t + 1/t), for a palindrome f of degree N.
 
@@ -186,7 +213,8 @@ def palindromic_half(f: SparsePoly) -> SparsePoly:
     quotient is again a palindrome.  g is built from V_k(s) = t^k + t^(-k),
     V_0 = 2, V_1 = s, V_k = s V_(k-1) - V_(k-2).  Roots of f above 1 map one
     to one onto roots of g above 2, so ``sturm_count(g, 2, None)`` counts
-    them; a root at t = 1 maps to s = 2, which that count excludes.
+    them and ``shifted_variations(g)`` bounds them; a root at t = 1 maps to
+    s = 2, which both exclude.
     Raises ``ValueError`` if f is not a palindrome.
     """
     p = f.dense_ascending()

@@ -1,11 +1,12 @@
 """Self-verification suites: invariant sweeps runnable from the CLI.
 
 Each suite checks one block of the package's contract (known-value root
-regressions, the polynomial identity, the topology closed forms, Descartes
-and Sturm counts, the coprimality condition, bound tables, asymptotics) and
-reports one pass/fail line.  They are the only checkers of these claims:
-acceptance criteria 1-6 call suites 1-6 and assert their verdicts.  Suites
-report no timings, so their output is deterministic.
+regressions, the polynomial identity, the topology closed forms, the
+Descartes counts of f and of its shifted palindromic half, the coprimality
+condition, bound tables, asymptotics) and reports one pass/fail line.  They
+are the only checkers of these claims: acceptance criteria 1-6 call suites
+1-6 and assert their verdicts.  Suites report no timings, so their output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -127,14 +128,16 @@ def suite_topology(max_norm: int = 60, max_gp: int = 60) -> SuiteResult:
 
 
 def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
-    """Descartes count 2 and Sturm counts (2 positive, 1 above t=1) on samples.
+    """Descartes count 2 and exactly one root above t=1 (2 positive) on samples.
 
     Every dilatation polynomial f is a palindrome, since norm - x = y - z and
     norm - y = x - z, so t -> 1/t maps its roots in (0, 1) onto those in
     (1, oo).  With f(t) = t^(N/2) g(t + 1/t) (``sturm.palindromic_half``)
-    and t -> t + 1/t mapping (1, oo) one to one onto (2, oo), one Sturm count
-    of g on (2, oo) equal to 1 proves exactly one root above 1, and f(1) != 0
-    then proves exactly two positive roots.
+    and t -> t + 1/t mapping (1, oo) one to one onto (2, oo), the roots of f
+    above 1 are those of g above 2.  One Taylor shift h(u) = g(u + 2) with
+    one sign variation (``sturm.shifted_variations``) proves, by Descartes'
+    rule, exactly one simple root there, and f(1) != 0 then proves exactly
+    two positive roots.  Any other count fails: it proves nothing.
     """
     failures = []
     for c in sample_cone_classes(samples, max_norm=100, seed=seed):
@@ -151,8 +154,8 @@ def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
         else:
             if f.at_one() == 0:
                 failures.append(f"{c}: root at t=1")
-            elif sturm.sturm_count(half, 2, None) != 1:
-                failures.append(f"{c}: root count above 1 != 1")
+            elif (v := sturm.shifted_variations(half)) != 1:
+                failures.append(f"{c}: g(u + 2) has {v} sign variations, not 1")
         if len(failures) > 5:
             break
     return _result("rootcount", failures, f"{samples} sampled classes")

@@ -254,6 +254,9 @@ def _limit_address_space():
         (["asymp", "ratio", "-g", "2", "-q", "2", "-v", "4", "--points", str(10**30)], 0),
         # a near-tie with an exponent denominator of 10**12
         (["asymp", "bracket", "-g", "2", "--c1", "759987450781/1000000000000", "--m-range", "2..2"], 3),
+        # the degree is past the float range, so there is no guessed start
+        # cell, and the size guard refuses the path from (0, 0)
+        (["asymp", "ratio", "-g", "2", "-q", "2", "-v", "4", "--points", str(10**320)], 3),
     ],
 )
 def test_extreme_inputs_finish_in_bounded_memory(argv, code):

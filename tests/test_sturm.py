@@ -1,4 +1,4 @@
-"""Tests for the exact Sturm-chain oracle."""
+"""Tests for the exact Sturm-chain and shifted Descartes counts."""
 
 import ast
 from fractions import Fraction
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicfiber import dilatation_poly, make_poly, sturm, sturm_count
-from magicfiber.sturm import palindromic_half
+from magicfiber.sturm import palindromic_half, shifted_variations
 
 QUAD = make_poly([(2, 1), (1, -4), (0, 1)])  # roots 2 +- sqrt(3)
 
@@ -175,6 +175,46 @@ class TestPalindromicHalf:
     def test_non_palindrome_rejected(self, terms):
         with pytest.raises(ValueError):
             palindromic_half(make_poly(terms))
+
+
+# the hand-made palindromes above: simple roots, one of them at t = 1
+PALINDROMES = [
+    QUAD,
+    dilatation_poly((3, 1, -2)),
+    dilatation_poly((5, 7, -3)),
+    make_poly([(3, 1), (2, -3), (1, -3), (0, 1)]),
+    make_poly([(5, 1), (4, -5), (3, 4), (2, 4), (1, -5), (0, 1)]),
+]
+
+
+class TestShiftedVariations:
+    """One Taylor shift and Descartes' rule, against the Sturm chains."""
+
+    def test_shift_is_exact_at_rational_points(self):
+        g = palindromic_half(dilatation_poly((5, 7, -3)))
+        h = sturm._taylor_shift(g.dense_ascending(), 2)
+        for u in (Fraction(0), Fraction(1, 3), Fraction(-7, 2), Fraction(11)):
+            assert sum(c * u**i for i, c in enumerate(h)) == g(u + 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cone_classes())
+    def test_one_variation_is_one_root_above_one(self, c):
+        f = dilatation_poly(c)
+        half = palindromic_half(f)
+        if shifted_variations(half) == 1:
+            assert sturm_count(half, 2, None) == 1 == sturm_count(f, 1, None)
+
+    @pytest.mark.parametrize("f", PALINDROMES, ids=str)
+    def test_bounds_the_sturm_count_with_its_parity(self, f):
+        g = palindromic_half(f)
+        count, exact = shifted_variations(g), sturm_count(g, 2, None)
+        assert count >= exact
+        assert (count - exact) % 2 == 0
+
+    def test_counts_above_other_shifts(self):
+        # (u - 1)(u - 3)(u + 5): shifted by 0, 2 and 4
+        f = make_poly([(3, 1), (2, 1), (1, -17), (0, 15)])
+        assert [shifted_variations(f, a) for a in (0, 2, 4)] == [2, 1, 0]
 
 
 def test_sturm_imports_neither_roots_nor_the_kernel():

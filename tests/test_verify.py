@@ -42,7 +42,7 @@ CASES = [
     ),
     pytest.param(
         lambda: verify.suite_rootcount(samples=5),
-        sturm, "sturm_count", lambda orig: lambda *args: 3, id="rootcount",
+        sturm, "shifted_variations", lambda orig: lambda *args: 3, id="rootcount",
     ),
     pytest.param(
         lambda: verify.suite_identity(max_g=3, max_p=3),
@@ -76,6 +76,14 @@ def test_suite_fails_on_an_injected_defect(run, module, name, defect, monkeypatc
 def test_run_suites_takes_one_name_or_several_in_the_order_given():
     assert [r.name for r in verify.run_suites("roots")] == ["roots"]
     assert [r.name for r in verify.run_suites(("identity", "roots"))] == ["identity", "roots"]
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_rootcount_failure_names_the_variation_count(count, monkeypatch):
+    monkeypatch.setattr(sturm, "shifted_variations", lambda *args: count)
+    result = verify.suite_rootcount(samples=5)
+    assert not result.passed
+    assert f"{count} sign variations" in result.detail
 
 
 def test_rootcount_reports_a_degree_over_the_sturm_cap(monkeypatch):
