@@ -24,9 +24,10 @@ By Descartes' rule that count bounds the roots of g in (2, oo), counted with
 multiplicity, and exceeds it by an even number; so a count of 1 proves
 exactly one root there, and a simple one.  This is the test that
 Vincent-Collins-Akritas isolation applies to each interval (Collins and
-Akritas, SYMSAC 1976).  A count above 1 proves nothing, and
+Akritas, SYMSAC 1976).  A count above 1 leaves the number open, and
 ``sturm_count`` stays the exact reference.
 """
+
 from __future__ import annotations
 
 import math

@@ -137,7 +137,7 @@ def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
     above 1 are those of g above 2.  One Taylor shift h(u) = g(u + 2) with
     one sign variation (``sturm.shifted_variations``) proves, by Descartes'
     rule, exactly one simple root there, and f(1) != 0 then proves exactly
-    two positive roots.  Any other count fails: it proves nothing.
+    two positive roots.  Any other count fails the class.
     """
     failures = []
     for c in sample_cone_classes(samples, max_norm=100, seed=seed):
