@@ -9,23 +9,38 @@ variation counts, which is what makes the all-integer chain legitimate.
 
 Counts are of distinct real roots in the half-open interval (a, b]; either
 endpoint may be None for an unbounded side.  Non-square-free input is
-reduced to its square-free part first.  Degrees are capped at oracle scale.
+reduced to its square-free part first.  Chain degrees are capped at oracle
+scale; the shifted count below has no cap.
 
 Every dilatation polynomial f is a palindrome, t^N f(1/t) = f(t): the
-lambda <-> 1/lambda symmetry of a stretch factor.  ``palindromic_half``
-writes it as f(t) = t^(N/2) g(t + 1/t) (after dividing out t + 1 when N is
-odd), with deg g = N/2.  Since t -> t + 1/t maps (1, oo) one to one onto
-(2, oo), the roots of f above 1 are the roots of g in (2, oo), at half the
-degree; t -> 1/t gives the roots in (0, 1) for free.
+lambda <-> 1/lambda symmetry of a stretch factor.  So f(t) = t^(N/2) g(t + 1/t)
+with deg g = N/2 (after dividing out t + 1 when N is odd).  Since
+t -> t + 1/t maps (1, oo) one to one onto (2, oo), the roots of f above 1
+are the roots of g in (2, oo), at half the degree; t -> 1/t gives the roots
+in (0, 1) for free.
 
-Those roots have a cheaper certificate than a chain: ``shifted_variations``
-takes one Taylor shift h(u) = g(u + 2) and counts the sign variations of h.
-By Descartes' rule that count bounds the roots of g in (2, oo), counted with
-multiplicity, and exceeds it by an even number; so a count of 1 proves
-exactly one root there, and a simple one.  This is the test that
-Vincent-Collins-Akritas isolation applies to each interval (Collins and
-Akritas, SYMSAC 1976).  A count above 1 leaves the number open, and
-``sturm_count`` stays the exact reference.
+Those roots have a cheaper certificate than a chain: the sign variations of
+h(u) = g(u + 2).  By Descartes' rule that count bounds the roots of g in
+(2, oo), counted with multiplicity, and exceeds it by an even number; so a
+count of 1 proves exactly one root there, and a simple one.  This is the
+test that Vincent-Collins-Akritas isolation applies to each interval
+(Collins and Akritas, SYMSAC 1976).  A count above 1 leaves the number
+open, and ``sturm_count`` stays the exact reference.
+
+``shifted_half_variations`` reads h straight off the sparse terms of f.  Put
+s = t + 1/t = u + 2 and W_k(s) = (t^(k+1/2) + t^-(k+1/2)) / (t^(1/2) + t^-(1/2)).
+For odd N = 2n + 1 each pair of terms is c_e (t^e + t^(N-e)) =
+c_e (t + 1) t^n W_(n-e)(s), so g = sum over e <= n of c_e W_(n-e); for even
+N, (t + 1) f is an odd palindrome with the same g.  And
+
+    W_k(u + 2) = sum over j of C(k + j, 2j) u^j.
+
+Proof: multiplying t^(k-1/2) + t^-(k-1/2) by s gives W_0 = 1, W_1 = s - 1,
+W_k = s W_(k-1) - W_(k-2); the right side starts at 1 and u + 1 and obeys the
+same recurrence, since Pascal's rule three times gives C(k + j, 2j) =
+2 C(k + j - 1, 2j) - C(k + j - 2, 2j) + C(k + j - 2, 2j - 2).
+So h_j = sum over e <= n of c_e C(n - e + j, 2j): one binomial row per term
+of f, each stepped in j by one exact multiply and divide, at any degree.
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ from fractions import Fraction
 
 from .polynomials import SparsePoly
 
-__all__ = ["STURM_DEGREE_CAP", "palindromic_half", "shifted_variations", "sturm_count"]
+__all__ = ["STURM_DEGREE_CAP", "shifted_half_variations", "sturm_count"]
 
 STURM_DEGREE_CAP = 200
 
@@ -120,15 +135,6 @@ def _exact_div(f: list[int], g: list[int]) -> list[int]:
     return q
 
 
-def _taylor_shift(p: list[int], a: int) -> list[int]:
-    """Ascending coefficients of p(u + a), in place, by O(d^2) exact
-    synthetic division: pass i divides by u - a and keeps remainder i."""
-    for i in range(len(p) - 1):
-        for j in range(len(p) - 2, i - 1, -1):
-            p[j] += a * p[j + 1]
-    return p
-
-
 def _sign_at(p: list[int], num: int, den: int) -> int:
     # sign of den^deg * p(num/den), by Horner from the top coefficient
     acc = 0
@@ -197,38 +203,31 @@ def sturm_count(f: SparsePoly, lower=None, upper=None) -> int:
     return count
 
 
-def shifted_variations(f: SparsePoly, a: int = 2) -> int:
-    """Sign variations of h(u) = f(u + a), an upper bound on f's roots above a.
-
-    The count exceeds the number of roots of f in (a, oo), counted with
-    multiplicity, by an even number (Descartes' rule of signs), so 0 and 1
-    are exact.
-    """
-    return _variations((c > 0) - (c < 0) for c in _taylor_shift(f.dense_ascending(), a))
-
-
-def palindromic_half(f: SparsePoly) -> SparsePoly:
-    """The g with f(t) = t^(N/2) g(t + 1/t), for a palindrome f of degree N.
-
-    If N is odd, f(-1) = -f(-1) = 0 and t + 1 is divided out first; the
-    quotient is again a palindrome.  g is built from V_k(s) = t^k + t^(-k),
-    V_0 = 2, V_1 = s, V_k = s V_(k-1) - V_(k-2).  Roots of f above 1 map one
-    to one onto roots of g above 2, so ``sturm_count(g, 2, None)`` counts
-    them and ``shifted_variations(g)`` bounds them; a root at t = 1 maps to
-    s = 2, which both exclude.
-    Raises ``ValueError`` if f is not a palindrome.
-    """
-    p = f.dense_ascending()
-    if not p or p != p[::-1]:
+def _shifted_half(f: SparsePoly) -> list[int]:
+    """Ascending coefficients of h(u) = g(u + 2), where f(t) = t^(N/2) g(t + 1/t)
+    for a palindrome f of degree N (g the half of f / (t + 1) when N is odd)."""
+    coef = dict(f.terms)
+    if not coef or any(coef.get(f.degree() - e) != c for e, c in coef.items()):
         raise ValueError(f"{f} is not a palindrome")
-    if _deg(p) % 2:
-        p = _exact_div(p, [1, 1])
-    n = _deg(p) // 2
-    g = [p[n]] + [0] * n
-    v_prev, v = [2], [0, 1]
-    for k in range(1, n + 1):
-        if p[n + k]:
-            for i, c in enumerate(v):
-                g[i] += p[n + k] * c
-        v_prev, v = v, [a - b for a, b in zip([0] + v, v_prev + [0, 0])]
-    return SparsePoly(tuple((e, g[e]) for e in range(n, -1, -1) if g[e]))
+    n = f.degree() // 2
+    low = [(e, c) for e, c in f.terms if e <= n]
+    if f.degree() % 2 == 0:  # (t + 1) f, of degree 2n + 1, has the same g
+        low += [(e + 1, c) for e, c in low if e < n]
+    h = [0] * (n + 1)
+    for e, c in low:
+        k, b = n - e, 1  # b = C(k + j, 2j)
+        for j in range(k + 1):
+            h[j] += c * b
+            b = b * (k + j + 1) * (k - j) // ((2 * j + 1) * (2 * j + 2))
+    return h
+
+
+def shifted_half_variations(f: SparsePoly) -> int:
+    """Sign variations of h(u) = g(u + 2) for a palindrome f(t) = t^(N/2) g(t + 1/t).
+
+    The count bounds the roots of f above 1 and exceeds their number by an
+    even number (Descartes' rule of signs), so 0 and 1 are exact; a root at
+    t = 1 maps to u = 0, which it excludes.  Raises ``ValueError`` if f is
+    not a palindrome.
+    """
+    return _variations((c > 0) - (c < 0) for c in _shifted_half(f))

@@ -132,29 +132,27 @@ def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
 
     Every dilatation polynomial f is a palindrome, since norm - x = y - z and
     norm - y = x - z, so t -> 1/t maps its roots in (0, 1) onto those in
-    (1, oo).  With f(t) = t^(N/2) g(t + 1/t) (``sturm.palindromic_half``)
-    and t -> t + 1/t mapping (1, oo) one to one onto (2, oo), the roots of f
-    above 1 are those of g above 2.  One Taylor shift h(u) = g(u + 2) with
-    one sign variation (``sturm.shifted_variations``) proves, by Descartes'
-    rule, exactly one simple root there, and f(1) != 0 then proves exactly
-    two positive roots.  Any other count fails the class.
+    (1, oo).  With f(t) = t^(N/2) g(t + 1/t) and t -> t + 1/t mapping (1, oo)
+    one to one onto (2, oo), the roots of f above 1 are those of g above 2.
+    One sign variation of h(u) = g(u + 2), read off the terms of f by a
+    binomial closed form (``sturm.shifted_half_variations``), proves by
+    Descartes' rule exactly one simple root there, at any degree, and
+    f(1) != 0 then proves exactly two positive roots.  Any other count fails
+    the class.
     """
     failures = []
     for c in sample_cone_classes(samples, max_norm=100, seed=seed):
         f = polynomials.dilatation_poly(c)
-        if f.degree() > sturm.STURM_DEGREE_CAP:
-            failures.append(f"{c}: degree {f.degree()} exceeds the Sturm cap")
-            break
         if polynomials.sign_variations(f) != 2:
             failures.append(f"{c}: sign variations != 2")
         try:
-            half = sturm.palindromic_half(f)
+            v = sturm.shifted_half_variations(f)
         except ValueError:
             failures.append(f"{c}: not a palindrome")
         else:
             if f.at_one() == 0:
                 failures.append(f"{c}: root at t=1")
-            elif (v := sturm.shifted_variations(half)) != 1:
+            elif v != 1:
                 failures.append(f"{c}: g(u + 2) has {v} sign variations, not 1")
         if len(failures) > 5:
             break

@@ -1,14 +1,16 @@
 """Tests for the exact Sturm-chain and shifted Descartes counts."""
 
 import ast
+import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magicfiber import dilatation_poly, make_poly, sturm, sturm_count
-from magicfiber.sturm import palindromic_half, shifted_variations
+from magicfiber import dilatation_poly, family_poly, make_poly, sturm, sturm_count
+from magicfiber.sturm import shifted_half_variations
 
 QUAD = make_poly([(2, 1), (1, -4), (0, 1)])  # roots 2 +- sqrt(3)
 
@@ -118,50 +120,80 @@ def cone_classes(draw, bound=30):
     return (x, y, z)
 
 
+# hand-made palindromes with simple roots, the last one also at t = 1 and -1
+PALINDROMES = [
+    QUAD,
+    dilatation_poly((3, 1, -2)),
+    dilatation_poly((5, 7, -3)),  # degree 15: t + 1 is a factor
+    make_poly([(3, 1), (2, -3), (1, -3), (0, 1)]),  # (t + 1) QUAD
+    make_poly([(5, 1), (4, -5), (3, 4), (2, 4), (1, -5), (0, 1)]),  # (t - 1)^2 (t + 1) QUAD
+]
+
+
+def _assert_identity(f, points):
+    """f(t) = t^(N/2) h(t + 1/t - 2), times t + 1 when N is odd: h is g(u + 2)."""
+    h = sturm._shifted_half(f)
+    n = f.degree()
+    assert len(h) == n // 2 + 1
+    for t in points:
+        u = t + 1 / t - 2
+        rhs = t ** (n // 2) * sum(c * u**j for j, c in enumerate(h))
+        assert f(t) == (t + 1 if n % 2 else 1) * rhs
+
+
+@st.composite
+def palindromes(draw):
+    """Palindromes of degree 0..30, both parities, small coefficients."""
+    n = draw(st.integers(0, 30))
+    half = draw(st.lists(st.integers(-9, 9), min_size=n // 2 + 1, max_size=n // 2 + 1))
+    half[0] = draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1]))
+    terms = [(i, c) for i, c in enumerate(half)]
+    return make_poly(terms + [(n - i, c) for i, c in terms if 2 * i != n])
+
+
 class TestPalindromicHalf:
-    """The half-degree chain against the full chain, which stays the reference."""
+    """h(u) = g(u + 2) by the binomial closed form, against exact evaluation
+    and the full chain, which stays the reference."""
 
     @settings(max_examples=40, deadline=None)
     @given(cone_classes())
     def test_half_counts_match_the_full_chain(self, c):
         f = dilatation_poly(c)
-        half = sturm_count(palindromic_half(f), 2, None)
+        half = sturm_count(make_poly(enumerate(sturm._shifted_half(f))), 0, None)
         assert sturm_count(f, 1, None) == half
         assert sturm_count(f, 0, None) == 2 * half
 
     def test_identity_at_rational_points(self):
-        f = dilatation_poly((5, 7, -3))  # degree 15: t + 1 is divided out
-        g = palindromic_half(f)
-        assert g.degree() == 7
-        for t in (Fraction(3, 2), Fraction(-5, 4), Fraction(7)):
-            assert f(t) / (t + 1) == t**7 * g(t + 1 / t)
+        for f in PALINDROMES:
+            _assert_identity(f, [Fraction(3, 2), Fraction(-5, 4), Fraction(7), Fraction(-1)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(palindromes(), st.fractions(min_value=-20, max_value=20, max_denominator=50))
+    def test_identity_on_random_palindromes(self, f, t):
+        _assert_identity(f, [t or Fraction(1, 3)])
 
     def test_even_degree(self):
-        # t^2 - 4t + 1 = t (s - 4) with s = t + 1/t
-        assert palindromic_half(make_poly([(2, 1), (1, -4), (0, 1)])) == make_poly(
-            [(1, 1), (0, -4)]
-        )
+        # t^2 - 4t + 1 = t (s - 4) with s = t + 1/t = u + 2
+        assert sturm._shifted_half(QUAD) == [-2, 1]
 
     def test_odd_degree_palindrome(self):
-        # (t + 1)(t^2 - 4t + 1) = t^3 - 3t^2 - 3t + 1
+        # (t + 1)(t^2 - 4t + 1) = t^3 - 3t^2 - 3t + 1 has the same half
         f = make_poly([(3, 1), (2, -3), (1, -3), (0, 1)])
-        g = palindromic_half(f)
-        assert g == make_poly([(1, 1), (0, -4)])
-        assert sturm_count(f, 1, None) == sturm_count(g, 2, None) == 1
+        assert sturm._shifted_half(f) == [-2, 1]
+        assert shifted_half_variations(f) == sturm_count(f, 1, None) == 1
 
     def test_roots_at_plus_and_minus_one(self):
-        # (t - 1)^2 (t + 1)(t^2 - 4t + 1): t = -1 is divided out and t = 1
-        # maps to s = 2, which the count on (2, oo) excludes; so the half
+        # (t - 1)^2 (t + 1)(t^2 - 4t + 1): t = -1 goes with the factor t + 1
+        # and t = 1 maps to u = 0, which the count on (0, oo) excludes; so h
         # counts the roots strictly above 1, and the positive count is
         # twice that plus the root at 1.
         f = make_poly([(5, 1), (4, -5), (3, 4), (2, 4), (1, -5), (0, 1)])
-        g = palindromic_half(f)
-        assert g == make_poly([(2, 1), (1, -6), (0, 8)])  # (s - 2)(s - 4)
-        assert sturm_count(g, 2, None) == sturm_count(f, 1, None) == 1
-        assert sturm_count(f, 0, None) == 2 * sturm_count(g, 2, None) + 1
+        assert sturm._shifted_half(f) == [0, -2, 1]  # g = (s - 2)(s - 4)
+        assert shifted_half_variations(f) == sturm_count(f, 1, None) == 1
+        assert sturm_count(f, 0, None) == 2 * shifted_half_variations(f) + 1
 
     def test_constant(self):
-        assert palindromic_half(make_poly([(0, 3)])) == make_poly([(0, 3)])
+        assert sturm._shifted_half(make_poly([(0, 3)])) == [3]
 
     @pytest.mark.parametrize(
         "terms",
@@ -173,48 +205,44 @@ class TestPalindromicHalf:
         ],
     )
     def test_non_palindrome_rejected(self, terms):
-        with pytest.raises(ValueError):
-            palindromic_half(make_poly(terms))
-
-
-# the hand-made palindromes above: simple roots, one of them at t = 1
-PALINDROMES = [
-    QUAD,
-    dilatation_poly((3, 1, -2)),
-    dilatation_poly((5, 7, -3)),
-    make_poly([(3, 1), (2, -3), (1, -3), (0, 1)]),
-    make_poly([(5, 1), (4, -5), (3, 4), (2, 4), (1, -5), (0, 1)]),
-]
+        with pytest.raises(ValueError, match="not a palindrome"):
+            shifted_half_variations(make_poly(terms))
 
 
 class TestShiftedVariations:
-    """One Taylor shift and Descartes' rule, against the Sturm chains."""
+    """Descartes' rule on h, against the Sturm chains, at any degree."""
 
     def test_shift_is_exact_at_rational_points(self):
-        g = palindromic_half(dilatation_poly((5, 7, -3)))
-        h = sturm._taylor_shift(g.dense_ascending(), 2)
-        for u in (Fraction(0), Fraction(1, 3), Fraction(-7, 2), Fraction(11)):
-            assert sum(c * u**i for i, c in enumerate(h)) == g(u + 2)
+        # family polynomials: even degree, middle term, colliding exponents at g = p
+        points = [Fraction(1, 3), Fraction(-7, 2), Fraction(11)]
+        for g in range(4):
+            for p in range(6):
+                _assert_identity(family_poly(g, p), points)
 
     @settings(max_examples=40, deadline=None)
     @given(cone_classes())
     def test_one_variation_is_one_root_above_one(self, c):
         f = dilatation_poly(c)
-        half = palindromic_half(f)
-        if shifted_variations(half) == 1:
-            assert sturm_count(half, 2, None) == 1 == sturm_count(f, 1, None)
+        if shifted_half_variations(f) == 1:
+            assert sturm_count(f, 1, None) == 1
 
     @pytest.mark.parametrize("f", PALINDROMES, ids=str)
     def test_bounds_the_sturm_count_with_its_parity(self, f):
-        g = palindromic_half(f)
-        count, exact = shifted_variations(g), sturm_count(g, 2, None)
+        count, exact = shifted_half_variations(f), sturm_count(f, 1, None)
         assert count >= exact
         assert (count - exact) % 2 == 0
 
-    def test_counts_above_other_shifts(self):
-        # (u - 1)(u - 3)(u + 5): shifted by 0, 2 and 4
-        f = make_poly([(3, 1), (2, 1), (1, -17), (0, 15)])
-        assert [shifted_variations(f, a) for a in (0, 2, 4)] == [2, 1, 0]
+    def test_any_degree(self):
+        """Degrees 10^3 to 10^4, far above STURM_DEGREE_CAP, in a 10-s budget
+        (about 0.05 s on a 2-core Xeon)."""
+        classes = [(500, 501, -100), (1234, 987, -55), (2500, 2501, 0), (3000, 4001, -2999)]
+        t0 = time.perf_counter()
+        for c in classes:
+            f = dilatation_poly(c)
+            assert 10**3 <= f.degree() <= 10**4 and math.gcd(*c) == 1
+            assert shifted_half_variations(f) == 1, c
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 10.0, f"{elapsed:.2f}s over the 10-s budget"
 
 
 def test_sturm_imports_neither_roots_nor_the_kernel():

@@ -42,7 +42,7 @@ CASES = [
     ),
     pytest.param(
         lambda: verify.suite_rootcount(samples=5),
-        sturm, "shifted_variations", lambda orig: lambda *args: 3, id="rootcount",
+        sturm, "shifted_half_variations", lambda orig: lambda f: 3, id="rootcount",
     ),
     pytest.param(
         lambda: verify.suite_identity(max_g=3, max_p=3),
@@ -80,18 +80,10 @@ def test_run_suites_takes_one_name_or_several_in_the_order_given():
 
 @pytest.mark.parametrize("count", [0, 3])
 def test_rootcount_failure_names_the_variation_count(count, monkeypatch):
-    monkeypatch.setattr(sturm, "shifted_variations", lambda *args: count)
+    monkeypatch.setattr(sturm, "shifted_half_variations", lambda f: count)
     result = verify.suite_rootcount(samples=5)
     assert not result.passed
     assert f"{count} sign variations" in result.detail
-
-
-def test_rootcount_reports_a_degree_over_the_sturm_cap(monkeypatch):
-    monkeypatch.setattr(sturm, "STURM_DEGREE_CAP", 3)
-    result = verify.suite_rootcount(samples=5)
-    assert not result.passed
-    assert "exceeds the Sturm cap" in result.detail
-
 
 
 def _not_a_palindrome(orig):
