@@ -14,7 +14,10 @@ are pruned.
 The coprimality condition on 2g+1 (no s in [0, g] with both s and s+1
 sharing a factor with 2g+1) is what guarantees a witness for every n; it is
 decided here in closed form via CRT over pairs of distinct prime factors,
-with the O(g) gcd scan kept in ``condition_star_brute`` as an oracle.
+with the O(g) gcd scan kept in ``condition_star_brute`` as an oracle.  Its
+half-range scan is a prefix of the full-period one (the same ascending loop,
+stopped at s = g), so one full-period scan gives both results: the half
+range fails exactly when the least failing s of the full period is <= g.
 """
 
 from __future__ import annotations

@@ -191,16 +191,9 @@ def fiber_data(c) -> FiberData:
         )
     genus = (2 - n_total + norm) // 2
     # gcd(x, y+z) divides x, and gcd(z, x+y) divides x+y-2z, so these are exact.
+    # Positional, in field order: norm, b_alpha..b_gamma, n_total, genus, prongs_*.
     return FiberData(
-        norm=norm,
-        b_alpha=ba,
-        b_beta=bb,
-        b_gamma=bg,
-        n_total=n_total,
-        genus=genus,
-        prongs_alpha=x // ba,
-        prongs_beta=y // bb,
-        prongs_gamma=(x + y - 2 * z) // bg,
+        norm, ba, bb, bg, n_total, genus, x // ba, y // bb, (x + y - 2 * z) // bg
     )
 
 

@@ -149,14 +149,18 @@ def dilatation_poly(c) -> SparsePoly:
     inequalities x > 0, y > 0, x > z, y > z put each middle exponent x, y,
     x-z, y-z strictly between 0 and x+y-z (x < x+y-z iff y > z, x-z > 0 iff
     x > z, and so on), so the form is (x+y-z, 1), then the middle exponents
-    in descending order with -1 each, summed where they collide (-2 to -4,
-    never 0), then (0, 1).  ``SparsePoly`` still checks the result.
+    in descending order with -1 each, equal neighbours merged into one term
+    (-2 to -4, never 0), then (0, 1).  ``SparsePoly`` still checks the result.
     """
     x, y, z = _cone_coords(c)
-    mid: dict[int, int] = {}
-    for e in (x, y, x - z, y - z):
-        mid[e] = mid.get(e, 0) - 1
-    return SparsePoly(((x + y - z, 1), *sorted(mid.items(), reverse=True), (0, 1)))
+    terms = [(x + y - z, 1)]
+    for e in sorted((x, y, x - z, y - z), reverse=True):
+        if terms[-1][0] == e:
+            terms[-1] = (e, terms[-1][1] - 1)
+        else:
+            terms.append((e, -1))
+    terms.append((0, 1))
+    return SparsePoly(tuple(terms))
 
 
 def family_poly(g: int, p: int) -> SparsePoly:

@@ -141,7 +141,9 @@ def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
     the class.
     """
     failures = []
+    checked = 0
     for c in sample_cone_classes(samples, max_norm=100, seed=seed):
+        checked += 1
         f = polynomials.dilatation_poly(c)
         if polynomials.sign_variations(f) != 2:
             failures.append(f"{c}: sign variations != 2")
@@ -156,29 +158,42 @@ def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
                 failures.append(f"{c}: g(u + 2) has {v} sign variations, not 1")
         if len(failures) > 5:
             break
-    return _result("rootcount", failures, f"{samples} sampled classes")
+    return _result("rootcount", failures, f"{samples} sampled classes", samples=checked)
 
 
 def suite_star(equiv_max: int = 10_000, brute_max: int = 2_000) -> SuiteResult:
-    """Anchors, reduced-range equivalence, and brute-force oracle agreement."""
+    """Anchors, reduced-range equivalence, and brute-force oracle agreement.
+
+    Each g up to ``brute_max`` gets one full-period gcd scan.  The half-range
+    scan is the same ascending loop stopped at s = g, a prefix of it, so its
+    result is the full scan's when the least failing s is at most g, and
+    (True, None) otherwise.  That derived result must equal
+    ``condition_star(g)``, and the full verdict must equal the derived one
+    (gcd symmetry: s and 2g - s fail together).
+    """
     failures = []
     if family.condition_star(4) != (True, None):
         failures.append("g=4 should satisfy the condition")
     if family.condition_star(7) != (False, 5):
         failures.append("g=7 should fail with witness s=5")
+    equiv = 0
     for g in range(5, equiv_max + 1):
+        equiv += 1
         if family.condition_star(g)[0] != family.condition_star_star(g):
             failures.append(f"g={g}: restricted range disagrees")
             break
+    brute = 0
     for g in range(2, brute_max + 1):
-        want = family.condition_star_brute(g)
-        if family.condition_star(g) != want:
+        brute += 1
+        full = family.condition_star_brute(g, full_period=True)
+        half = full if full[0] or full[1] <= g else (True, None)
+        if family.condition_star(g) != half:
             failures.append(f"g={g}: brute half-range oracle disagrees")
             break
-        if family.condition_star_brute(g, full_period=True)[0] != want[0]:
+        if full[0] != half[0]:
             failures.append(f"g={g}: full-period verdict disagrees")
             break
-    return _result("star", failures, f"g <= {equiv_max}")
+    return _result("star", failures, f"g <= {equiv_max}", equiv=equiv, brute=brute)
 
 
 def suite_bounds(

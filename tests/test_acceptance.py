@@ -92,6 +92,7 @@ def test_criterion_4_root_count_property():
     t0 = time.perf_counter()
     result = verify.suite_rootcount()
     assert result.passed, result.detail
+    assert result.counts == {"samples": 500}  # exact, as in criterion 3
     _report(4, "500 sampled classes", t0, 60.0)
 
 
@@ -99,6 +100,7 @@ def test_criterion_5_condition_star():
     t0 = time.perf_counter()
     result = verify.suite_star()
     assert result.passed, result.detail
+    assert result.counts == {"equiv": 9_996, "brute": 1_999}  # exact, as in criterion 3
     _report(5, "g <= 10000 equivalence, g <= 2000 oracle", t0, 10.0)
 
 

@@ -36,6 +36,7 @@ FORMATTED = [
     "asymp ratio --points 10,20 --tol 1e-8",
     "verify roots identity",
     "verify rootcount",
+    "verify topology star",
 ]
 
 UNFORMATTED = [
@@ -100,6 +101,9 @@ GOLDEN = {
     "verify rootcount --format plain": "81e2d98f826d593c0ac533557a6fa738a6f5df91ddbcd00075a24551aff45efe",
     "verify rootcount --format csv": "64d1278986ef69faa3a5ea06de9a8052b51070f77878f8b3630ac36be91bf088",
     "verify rootcount --format json": "d3f3cabe9a043d1efd1f7dbc8bc72031cb9243738fa95ff3557c6d1d62d07c30",
+    "verify topology star --format plain": "9887edf661601e1f9ca0c6eb231e8dbace02fb0fc5aa345bcf741ec88ef7ffed",
+    "verify topology star --format csv": "4a5488730b5cc8b6d80fb320006f730b4f412483380a463d029b0056d3f2662c",
+    "verify topology star --format json": "20ebc6bb94e79a4fbe92b7db9e123eb2700156fa690d3a8443ddba0d2063b0f0",
     "--version": "53b8cf64c9cb72db10b7f889c0003e201794e32496c49063c4e08ebc3140ba3d",
     "": "8face5b294be4fad6a01b86613e3bbe72afe03f4ee0cc10861e6bd179f334f4d",
     "frobnicate": "5227e734f3f672efc0af93df19424ad256bd92cb3fc45a623e9f7fc3dd5136f3",

@@ -10,11 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from magicfiber import family, polynomials, roots, sturm, verify
+from magicfiber import family, homology, polynomials, roots, sturm, verify
 
 
 def _wrong_genus(orig):
-    return lambda g, p: orig(g, p)._replace(genus=orig(g, p).genus + 1)
+    return lambda *args: orig(*args)._replace(genus=orig(*args).genus + 1)
 
 
 def _shifted_root(orig):
@@ -34,43 +34,100 @@ def _no_witness(orig):
     return table
 
 
-# (suite run, module, attribute, defect built from the original attribute)
+def _third_sign_change(orig):
+    # t*f - 1 has the coefficient signs +, -, ..., -, +, -
+    return lambda c: polynomials.make_poly(
+        [(e + 1, k) for e, k in orig(c).terms] + [(0, -1)]
+    )
+
+
+def _spurious_full_period_failure(orig):
+    # 2g + 1 = 5 is prime, so g = 2 has no failing s in the full period
+    return lambda g, full_period=False: (False, 2 * g) if full_period else orig(g)
+
+
+# Each suite at small parameters.
+RUNS = {
+    "topology": lambda: verify.suite_topology(max_norm=8, max_gp=8),
+    "rootcount": lambda: verify.suite_rootcount(samples=5),
+    "identity": lambda: verify.suite_identity(max_g=3, max_p=3),
+    "star": lambda: verify.suite_star(equiv_max=50, brute_max=20),
+    "roots": verify.suite_roots,
+    "bounds": lambda: verify.suite_bounds(gs=(2,), n_max=12),
+}
+
+# (suite, module, attribute, defect built from the original attribute,
+#  words the failure detail must contain)
 CASES = [
     pytest.param(
-        lambda: verify.suite_topology(max_norm=8, max_gp=8),
-        family, "family_fiber_data", _wrong_genus, id="topology",
+        "topology", family, "family_fiber_data", _wrong_genus, "closed form disagrees",
+        id="topology",
     ),
     pytest.param(
-        lambda: verify.suite_rootcount(samples=5),
-        sturm, "shifted_half_variations", lambda orig: lambda f: 3, id="rootcount",
+        "topology", homology, "fiber_data", _wrong_genus, "genus value fails",
+        id="topology-genus",
     ),
     pytest.param(
-        lambda: verify.suite_identity(max_g=3, max_p=3),
-        polynomials, "family_poly", lambda orig: lambda g, p: orig(g, p + 1), id="identity",
+        "topology", polynomials, "dilatation_poly", _third_sign_change,
+        "sign variations != 2", id="topology-sign-variations",
     ),
     pytest.param(
-        lambda: verify.suite_star(equiv_max=50, brute_max=20),
-        family, "condition_star_star", lambda orig: lambda g: not orig(g), id="star",
+        "rootcount", sturm, "shifted_half_variations", lambda orig: lambda f: 3,
+        "3 sign variations", id="rootcount",
     ),
-    pytest.param(verify.suite_roots, roots, "unique_root_gt1", _shifted_root, id="roots"),
     pytest.param(
-        lambda: verify.suite_bounds(gs=(2,), n_max=12),
-        family, "upper_bound_table", _no_witness, id="bounds",
+        "identity", polynomials, "family_poly", lambda orig: lambda g, p: orig(g, p + 1),
+        "(g,p)=(0,0):", id="identity",
+    ),
+    pytest.param(
+        "star", family, "condition_star_star", lambda orig: lambda g: not orig(g),
+        "restricted range disagrees", id="star",
+    ),
+    pytest.param(
+        # g = 3 lies below the equivalence sweep and is no anchor
+        "star", family, "condition_star", lambda orig: lambda g: (False, 0) if g == 3 else orig(g),
+        "g=3: brute half-range oracle disagrees", id="star-half-range",
+    ),
+    pytest.param(
+        "star", family, "condition_star_brute", _spurious_full_period_failure,
+        "g=2: full-period verdict disagrees", id="star-full-period",
+    ),
+    pytest.param(
+        "roots", roots, "unique_root_gt1", _shifted_root, "quartic root", id="roots",
+    ),
+    pytest.param(
+        "bounds", family, "upper_bound_table", _no_witness, "g=2: no witness", id="bounds",
     ),
 ]
 
 
-@pytest.mark.parametrize("run, module, name, defect", CASES)
-def test_suite_passes_on_the_package(run, module, name, defect):
-    result = run()
+@pytest.mark.parametrize("suite", RUNS)
+def test_suite_passes_on_the_package(suite):
+    result = RUNS[suite]()
     assert result.passed, result.detail
 
 
-@pytest.mark.parametrize("run, module, name, defect", CASES)
-def test_suite_fails_on_an_injected_defect(run, module, name, defect, monkeypatch):
+@pytest.mark.parametrize("suite, module, name, defect, detail", CASES)
+def test_suite_fails_on_an_injected_defect(suite, module, name, defect, detail, monkeypatch):
     monkeypatch.setattr(module, name, defect(getattr(module, name)))
-    result = run()
+    result = RUNS[suite]()
     assert not result.passed, f"suite passed with a wrong {module.__name__}.{name}"
+    assert detail in result.detail
+
+
+def test_star_scans_each_genus_once_over_the_full_period(monkeypatch):
+    calls = []
+    orig = family.condition_star_brute
+
+    def counted(g, full_period=False):
+        calls.append((g, full_period))
+        return orig(g, full_period)
+
+    monkeypatch.setattr(family, "condition_star_brute", counted)
+    result = verify.suite_star(equiv_max=50, brute_max=40)
+    assert result.passed, result.detail
+    assert calls == [(g, True) for g in range(2, 41)]
+    assert result.counts == {"equiv": 46, "brute": 39}
 
 
 def test_run_suites_takes_one_name_or_several_in_the_order_given():
