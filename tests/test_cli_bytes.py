@@ -32,6 +32,7 @@ FORMATTED = [
     "bounds -g 2 -n 3..10",
     "bounds -g 7 -n 5..6",  # no witness rows
     "star --max 12",
+    "star --max 60",  # witnesses of 2g+1 with three primes, e.g. 105 at g = 52
     "asymp bracket --m-range 2..12 --tol 1e-8",
     "asymp ratio --points 10,20 --tol 1e-8",
     "verify roots identity",
@@ -89,6 +90,9 @@ GOLDEN = {
     "star --max 12 --format plain": "c620555aaa730f109d67b84d5f07a3d6e0eee42110c9ef97d42098be2560dfa9",
     "star --max 12 --format csv": "277bffd2c6b39f3dff6cb4f5b03c483dc6045dc034bc8858405493c3f4631fcf",
     "star --max 12 --format json": "4f36f2e7a3ac8369c39f3ec50996628a3a91973cf4db5c9bbd76994a30377ef0",
+    "star --max 60 --format plain": "1dbf8abe2fbedca6d47436b53e79f3e2d24827a8dce2f8fc6d9932482871d59e",
+    "star --max 60 --format csv": "9a22a0821711bcefcb5fd60ee6cf8e0d6cc68beb076d412edd7bab7546e22940",
+    "star --max 60 --format json": "20352cff09f6654f4a7ac9261b6c1398d7c71af520a8320f17676db21f6e6922",
     "asymp bracket --m-range 2..12 --tol 1e-8 --format plain": "1646e85dacb5c938149746420dd19b26cf318b7153b44972a56f0cc49d13da1f",
     "asymp bracket --m-range 2..12 --tol 1e-8 --format csv": "716a7f219fc3275db7a2a9391924d46b8069078d3b1a64627a651d144398bde9",
     "asymp bracket --m-range 2..12 --tol 1e-8 --format json": "7c7e1f0f838539c1f5297b700a850c829ba2a886ee936e6f06ca7f302b4c7381",
