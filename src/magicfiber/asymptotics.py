@@ -189,7 +189,8 @@ class RatioTable(NamedTuple):
 
     The trend flags are certified across successive rows (each ratio
     interval entirely below, resp. above, the previous one); no limit is
-    claimed, only the computed values.
+    claimed, only the computed values.  With fewer than two rows both flags
+    are vacuously true.
     """
 
     q: Fraction

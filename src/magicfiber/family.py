@@ -11,13 +11,17 @@ considers the two p with n in that window and records the smaller certified
 dilatation bound among the qualifying candidates, or "no witness" when both
 are pruned.
 
-The coprimality condition on 2g+1 (no s in [0, g] with both s and s+1
-sharing a factor with 2g+1) is what guarantees a witness for every n; it is
-decided here in closed form via CRT over pairs of distinct prime factors,
-with the O(g) gcd scan kept in ``condition_star_brute`` as an oracle.  Its
-half-range scan is a prefix of the full-period one (the same ascending loop,
-stopped at s = g), so one full-period scan gives both results: the half
-range fails exactly when the least failing s of the full period is <= g.
+The coprimality condition (*) on m = 2g+1 (no s in [0, g] with both s and
+s+1 sharing a factor with m) is what guarantees a witness for every n.  It
+holds iff m is a prime power.  Call s failing when both s and s+1 share a
+factor with m.  A failing s has two distinct primes of m, p | s and q | s+1,
+so s is at least the least CRT solution s_pq < pq of that pair.  The sum
+s_pq + s_qp is -1 mod p and mod q and less than 2pq - 1, so it is
+pq - 1 <= 2g, and the least failing s over all s >= 0 is at most g.  No s
+in {0, 1, 2, g-1, g} fails, since m is odd and prime to g and to g+1; so
+every CRT solution is at least 3, and the least failing s lies in
+[3, g-2].  ``condition_star`` takes the least CRT solution, and the O(g)
+gcd scan of the definition stays in ``condition_star_brute`` as an oracle.
 """
 
 from __future__ import annotations
@@ -178,50 +182,34 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _least_bad_s(m: int) -> dict[tuple[int, int], int]:
-    """For each ordered pair of distinct primes of m, the least s >= 0 with
-    p | s and q | s+1 (so both s and s+1 share a factor with m)."""
+def _least_bad_s(m: int) -> list[int]:
+    """For each ordered pair (p, q) of distinct primes of m, the least s >= 0
+    with p | s and q | s+1; empty when m is a prime power."""
     primes = _prime_factors(m)
-    out = {}
-    for p in primes:
-        for q in primes:
-            if p == q:
-                continue
-            t = (-pow(p, -1, q)) % q
-            out[(p, q)] = p * t
-    return out
+    return [p * (-pow(p, -1, q) % q) for p in primes for q in primes if p != q]
 
 
 def condition_star(g: int) -> tuple[bool, int | None]:
     """Consecutive-coprimality condition on 2g+1 over 0 <= s <= g.
 
     Holds iff every s in [0, g] has gcd(2g+1, s) = 1 or gcd(2g+1, s+1) = 1.
-    Returns (True, None) or (False, least failing s).  A failing s needs two
-    distinct prime factors of 2g+1 splitting between s and s+1, so the least
-    witness is the minimum over prime pairs of a CRT solution.
+    Returns (True, None) or (False, least failing s): the least CRT solution
+    over the prime pairs of 2g+1, which is at most g (module docstring).
     """
     if g < 2:
         raise ValueError("the condition is posed for g >= 2")
-    best = None
-    for s in _least_bad_s(2 * g + 1).values():
-        if s <= g and (best is None or s < best):
-            best = s
-    return (best is None), best
+    s = min(_least_bad_s(2 * g + 1), default=None)
+    return s is None, s
 
 
-def condition_star_brute(g: int, full_period: bool = False) -> tuple[bool, int | None]:
-    """Direct gcd scan; the oracle for ``condition_star``.
-
-    ``full_period=True`` scans 0 <= s <= 2g instead of the defining half
-    range; by gcd symmetry the verdicts agree.
-    """
+def condition_star_brute(g: int) -> tuple[bool, int | None]:
+    """Direct gcd scan of 0 <= s <= g; the oracle for ``condition_star``."""
     if g < 2:
         raise ValueError("the condition is posed for g >= 2")
     m = 2 * g + 1
-    top = 2 * g if full_period else g
     gcd = math.gcd
     prev = gcd(m, 0)
-    for s in range(top + 1):
+    for s in range(g + 1):
         nxt = gcd(m, s + 1)
         if prev != 1 and nxt != 1:
             return False, s
@@ -230,17 +218,13 @@ def condition_star_brute(g: int, full_period: bool = False) -> tuple[bool, int |
 
 
 def condition_star_star(g: int) -> bool:
-    """The restricted-range variant over 3 <= s <= g-2 (equivalent for g >= 5)."""
+    """The restricted-range variant over 3 <= s <= g-2 (equivalent for g >= 5).
+
+    Every CRT solution is at least 3, so only the upper end is tested.
+    """
     if g < 5:
         raise ValueError("the restricted condition is posed for g >= 5")
-    m = 2 * g + 1
-    for (p, q), s in _least_bad_s(m).items():
-        if s < 3:
-            step = p * q
-            s += ((3 - s) + step - 1) // step * step
-        if s <= g - 2:
-            return False
-    return True
+    return all(s > g - 2 for s in _least_bad_s(2 * g + 1))
 
 
 def _candidate_ps(n: int) -> list[int]:

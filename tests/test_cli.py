@@ -341,3 +341,8 @@ class TestVerifyCommand:
     def test_unknown_suite(self):
         code, _ = run_cli("verify", "nonsense")
         assert code == 2
+
+    def test_all_takes_no_other_suite_names(self, capsys):
+        code, out = run_cli("verify", "all", "roots")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: 'all' takes no other suite names\n"

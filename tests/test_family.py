@@ -162,10 +162,22 @@ class TestConditionStar:
     def test_matches_brute_force(self):
         for g in range(2, 400):
             assert condition_star(g) == condition_star_brute(g)
-            assert (
-                condition_star_brute(g, full_period=True)[0]
-                == condition_star(g)[0]
-            )
+
+    def test_holds_iff_2g_plus_1_is_a_prime_power(self):
+        for g in range(2, 5001):
+            m = 2 * g + 1
+            d = 3
+            while m % d:  # the least prime factor of m
+                d += 2
+            while m % d == 0:
+                m //= d
+            assert condition_star(g)[0] == (m == 1), g
+
+    def test_witness_lies_in_3_to_g_minus_2(self):
+        for g in range(5, 5001):
+            holds, s = condition_star(g)
+            if not holds:
+                assert 3 <= s <= g - 2, (g, s)
 
     def test_small_g_rejected(self):
         with pytest.raises(ValueError):

@@ -41,9 +41,14 @@ def _third_sign_change(orig):
     )
 
 
-def _spurious_full_period_failure(orig):
-    # 2g + 1 = 5 is prime, so g = 2 has no failing s in the full period
-    return lambda g, full_period=False: (False, 2 * g) if full_period else orig(g)
+def _spurious_brute_failure(orig):
+    # 2g + 1 = 5 is prime, so g = 2 has no failing s
+    return lambda g: (False, 2) if g == 2 else orig(g)
+
+
+def _mirror_witness(orig):
+    # 2g + 1 = 21 fails at s = 6 and at its mirror 2g - s = 14
+    return lambda g: (False, 14) if g == 10 else orig(g)
 
 
 # Each suite at small parameters.
@@ -86,11 +91,16 @@ CASES = [
     pytest.param(
         # g = 3 lies below the equivalence sweep and is no anchor
         "star", family, "condition_star", lambda orig: lambda g: (False, 0) if g == 3 else orig(g),
-        "g=3: brute half-range oracle disagrees", id="star-half-range",
+        "g=3: brute-force oracle disagrees", id="star-half-range",
     ),
     pytest.param(
-        "star", family, "condition_star_brute", _spurious_full_period_failure,
-        "g=2: full-period verdict disagrees", id="star-full-period",
+        "star", family, "condition_star_brute", _spurious_brute_failure,
+        "g=2: brute-force oracle disagrees", id="star-brute",
+    ),
+    pytest.param(
+        # the verdict is right, so only the brute check sees the witness
+        "star", family, "condition_star", _mirror_witness,
+        "g=10: brute-force oracle disagrees", id="star-mirror-witness",
     ),
     pytest.param(
         "roots", roots, "unique_root_gt1", _shifted_root, "quartic root", id="roots",
@@ -115,18 +125,18 @@ def test_suite_fails_on_an_injected_defect(suite, module, name, defect, detail, 
     assert detail in result.detail
 
 
-def test_star_scans_each_genus_once_over_the_full_period(monkeypatch):
+def test_star_scans_each_genus_once(monkeypatch):
     calls = []
     orig = family.condition_star_brute
 
-    def counted(g, full_period=False):
-        calls.append((g, full_period))
-        return orig(g, full_period)
+    def counted(g):
+        calls.append(g)
+        return orig(g)
 
     monkeypatch.setattr(family, "condition_star_brute", counted)
     result = verify.suite_star(equiv_max=50, brute_max=40)
     assert result.passed, result.detail
-    assert calls == [(g, True) for g in range(2, 41)]
+    assert calls == list(range(2, 41))
     assert result.counts == {"equiv": 46, "brute": 39}
 
 
