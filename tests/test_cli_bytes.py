@@ -31,6 +31,7 @@ FORMATTED = [
     "family -g 2 --p-max 4",
     "bounds -g 2 -n 3..10",
     "bounds -g 7 -n 5..6",  # no witness rows
+    "bounds -g 2 -n 20..24 --tol 0.1",  # loose tol: brackets of neighbouring p overlap
     "star --max 12",
     "star --max 60",  # witnesses of 2g+1 with three primes, e.g. 105 at g = 52
     "asymp bracket --m-range 2..12 --tol 1e-8",
@@ -87,6 +88,9 @@ GOLDEN = {
     "bounds -g 7 -n 5..6 --format plain": "e6dc0c84ccc7d6889d1038e25fdb782f88ddacdbd977382154682cd13f9dd7ad",
     "bounds -g 7 -n 5..6 --format csv": "5bb21b2f242ba3130b2510ac6bb9b26277f2580cadd5b26b0449ee28351b4302",
     "bounds -g 7 -n 5..6 --format json": "d8928a1f1eece559c52f2bdf788da709e6f0fd1a3bf06a65b6e69941432d9873",
+    "bounds -g 2 -n 20..24 --tol 0.1 --format plain": "ea5c906a44187c83f91fb99bbf40df8e1de0d0e45b83d43d5f044a195b120733",
+    "bounds -g 2 -n 20..24 --tol 0.1 --format csv": "8705a846c2d5d2cbc11483da2ffdad8352a531b0ae7df61d1ffbcca7efaef6c6",
+    "bounds -g 2 -n 20..24 --tol 0.1 --format json": "29b0c05020533270290e3ccdd269230263cf57bb1a0cf990899f37061bb88c6d",
     "star --max 12 --format plain": "c620555aaa730f109d67b84d5f07a3d6e0eee42110c9ef97d42098be2560dfa9",
     "star --max 12 --format csv": "277bffd2c6b39f3dff6cb4f5b03c483dc6045dc034bc8858405493c3f4631fcf",
     "star --max 12 --format json": "4f36f2e7a3ac8369c39f3ec50996628a3a91973cf4db5c9bbd76994a30377ef0",
