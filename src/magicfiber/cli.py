@@ -14,10 +14,11 @@ A run builds one record: the subcommand's ``cmd_*`` computes it and returns
 it with its outcome, and ``main`` writes it once, to stdout in plain, csv, or
 json form (``--format``), then maps the outcome to the exit code.  stderr
 carries diagnostics only.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 precision-ceiling failure.  A ``class`` with no fiber data
-(zero, out of the cone, or not primitive) writes its partial record to stdout,
-then its ``error:`` line to stderr, and exits 2; the other usage and
-precision errors write no record.  Numeric approximations are always
+2 usage error, 3 precision-ceiling failure, 141 (128 + SIGPIPE) when the
+reader closes stdout before the record is written.  A ``class`` with no
+fiber data (zero, out of the cone, or not primitive) writes its partial
+record to stdout, then its ``error:`` line to stderr, and exits 2; the other
+usage and precision errors write no record.  Numeric approximations are always
 accompanied by their exact bracket endpoints, serialized as decimal strings;
 identical invocations produce byte-identical output regardless of ``--jobs``.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -47,6 +49,7 @@ SUITE_NAMES = ("roots", "identity", "topology", "rootcount", "star", "bounds", "
 
 SCHEMA_VERSION = "1"
 DEFAULT_TOL_TEXT = "1e-12"  # roots.DEFAULT_TOL as typed on the command line
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a program SIGPIPE ends
 
 # Hyperbolic volume of the magic manifold (cited constant, informational
 # only: every witnessed bound is realized by a bundle obtained from the
@@ -477,7 +480,16 @@ def main(argv=None) -> int:
     except (PrecisionError, ValueError, OverflowError) as exc:
         outcome = exc
     if record is not None:
-        _emit(record, args.format, sys.stdout)
+        try:
+            _emit(record, args.format, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout early.  Point it at devnull so that the
+            # interpreter's final flush cannot raise again (the SIGPIPE note
+            # in the docs of Python's signal module), and exit as a program
+            # that SIGPIPE ends does in a shell.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_CLOSED_PIPE
     if isinstance(outcome, int):
         return outcome
     print(f"error: {outcome}", file=sys.stderr)

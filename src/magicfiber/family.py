@@ -6,17 +6,27 @@ with 2p+4 boundary components, most of them (2p+1, each 1-pronged) on the
 second cusp torus.  Capping the fiber boundaries on the other two cusps is
 dilatation-preserving whenever none of them is 1-pronged, which fails only
 for (g, p) in {(0,0), (0,1), (1,0)}; the four capping patterns realize every
-puncture count in {2p+1, ..., 2p+4}.  A table row for (g, n) therefore
-considers the two p with n in that window and records the smaller certified
-dilatation bound among the qualifying candidates, or "no witness" when both
-are pruned.
+puncture count in {2p+1, ..., 2p+4}.  A table row for (g, n) considers the
+two p with n in that window, and its witness is the largest qualifying one,
+or "no witness" when both are pruned.
 
-The coprimality condition (*) on m = 2g+1 (no s in [0, g] with both s and
-s+1 sharing a factor with m) is what guarantees a witness for every n.  It
-holds iff m is a prime power.  Call s failing when both s and s+1 share a
-factor with m.  A failing s has two distinct primes of m, p | s and q | s+1,
-so s is at least the least CRT solution s_pq < pq of that pair.  The sum
-s_pq + s_qp is -1 mod p and mod q and less than 2pq - 1, so it is
+The largest wins because lambda_p strictly decreases in p.  The classes are
+a + p*b, a = (g+1, 1, -g), b = (1, 2, 1), and for real s >= 0 the class
+a + s*b has x, y > 0, x - z = 2g+1 > 0 and y - z = g+1+s > 0: the ray lies
+in the open cone.  By Fried's theorem phi(s) = 1/log(lambda(a + s*b)) is
+concave there, and positive, hence nondecreasing on [0, oo); equal values at
+two points would make it constant from the first on, against lambda_p -> 1.
+
+For g >= 2 a row lacks a witness exactly when p+g+1 and p+g+2 both share a
+factor with m = 2g+1, so a table has a no-witness row in every period 2m of
+n exactly when the coprimality condition (*) fails: (*) asks for no s in
+[0, g] with s and s+1 both sharing a factor with m, and the least such
+s >= 0, if any, is at most g (below).
+
+(*) holds iff m is a prime power.  Call s failing when both s and s+1 share
+a factor with m.  A failing s has two distinct primes of m, p | s and
+q | s+1, so s is at least the least CRT solution s_pq < pq of that pair.
+The sum s_pq + s_qp is -1 mod p and mod q and less than 2pq - 1, so it is
 pq - 1 <= 2g, and the least failing s over all s >= 0 is at most g.  No s
 in {0, 1, 2, g-1, g} fails, since m is odd and prime to g and to g+1; so
 every CRT solution is at least 3, and the least failing s lies in
@@ -228,12 +238,12 @@ def condition_star_star(g: int) -> bool:
 
 
 def _candidate_ps(n: int) -> list[int]:
-    ps = sorted({(n - i) // 2 for i in (1, 2, 3, 4) if n - i >= 0 and (n - i) % 2 == 0})
-    return ps
+    return sorted({(n - i) // 2 for i in (1, 2, 3, 4) if n >= i and (n - i) % 2 == 0})
 
 
 def bound_row(g: int, n: int, tol=DEFAULT_TOL) -> BoundRow:
-    """Best certified bound for (g, n), or a no-witness row."""
+    """Certified bound for (g, n) from its largest qualifying p (lambda_p
+    decreases in p, module docstring), or a no-witness row."""
     tol = _as_tol(tol)
     candidates = []
     pruned = []
@@ -241,35 +251,13 @@ def bound_row(g: int, n: int, tol=DEFAULT_TOL) -> BoundRow:
         if not family_class(g, p).primitive or not no_one_prong(g, p):
             pruned.append(p)
             continue
+        candidates.append(p)
+    record = None
+    if candidates:
+        p = candidates[-1]
         filled = dict(filled_variants(g, p))[n]
-        candidates.append((p, filled, family_dilatation(g, p, tol)))
-    if not candidates:
-        return BoundRow(n=n, record=None, pruned_p=tuple(pruned))
-    winner = candidates[0]
-    if len(candidates) == 2:
-        winner = _smaller_bound(g, candidates[0], candidates[1], tol)
-    p, filled, root = winner
-    return BoundRow(
-        n=n,
-        record=BoundRecord(g=g, n=n, witness_p=p, filled=filled, bound=root),
-        pruned_p=tuple(pruned),
-    )
-
-
-def _smaller_bound(g, cand_a, cand_b, tol):
-    # No monotonicity in p is assumed: compare certified brackets, refine
-    # once on overlap, then prefer the smaller p deterministically.
-    pa, fa, ra = cand_a
-    pb, fb, rb = cand_b
-    for attempt in range(2):
-        if ra.hi < rb.lo:
-            return (pa, fa, ra)
-        if rb.hi < ra.lo:
-            return (pb, fb, rb)
-        if attempt == 0:
-            ra = family_dilatation(g, pa, tol / 2)
-            rb = family_dilatation(g, pb, tol / 2)
-    return (pa, fa, ra) if pa < pb else (pb, fb, rb)
+        record = BoundRecord(g, n, p, filled, family_dilatation(g, p, tol))
+    return BoundRow(n=n, record=record, pruned_p=tuple(pruned))
 
 
 def upper_bound_table(

@@ -192,22 +192,57 @@ def suite_star(equiv_max: int = 10_000, brute_max: int = 2_000) -> SuiteResult:
 
 
 def suite_bounds(
-    gs: tuple[int, ...] = (2, 3, 4, 5, 6, 8, 9),
+    gs: tuple[int, ...] = tuple(range(2, 10)),
+    p_max: int = 250,
     n_min: int = 3,
     n_max: int = 500,
     jobs: int = 1,
 ) -> SuiteResult:
-    """Every n gets a witness for the listed g; g=7 shows primitivity pruning."""
+    """The two theorems behind the bound tables (``family`` module docstring).
+
+    Monotonicity: the certified brackets of lambda_p and lambda_{p+1} are
+    strictly ordered, lambda_{p+1} < lambda_p, for p < ``p_max``; a pair the
+    brackets cannot separate fails.  Witnesses and gaps: every row of
+    ``upper_bound_table`` has the largest primitive candidate p (with
+    2p+1 <= n <= 2p+4) as its witness, and the table has a no-witness row
+    iff condition (*) fails.  The range 3..500 holds a full period 2(2g+1)
+    of n for every g <= 9.
+    """
     failures = []
+    pairs = rows = 0
     for g in gs:
-        rows = family.upper_bound_table(g, n_min, n_max, jobs=jobs)
-        missing = [row.n for row in rows if row.record is None]
-        if missing:
-            failures.append(f"g={g}: no witness for n in {missing[:5]}")
-    rows7 = family.upper_bound_table(7, n_min, n_max, jobs=jobs)
-    if not any(row.pruned_p for row in rows7):
-        failures.append("g=7: expected primitivity-pruned candidates")
-    return _result("bounds", failures, f"g in {gs} and 7, n <= {n_max}")
+        prev = family.family_dilatation(g, 0)
+        for p in range(p_max):
+            pairs += 1
+            cur = family.family_dilatation(g, p + 1)
+            if not cur.hi < prev.lo:
+                failures.append(f"g={g}: brackets of p={p} and p={p + 1} are not ordered")
+                break
+            prev = cur
+        table = family.upper_bound_table(g, n_min, n_max, jobs=jobs)
+        rows += len(table)
+        for row in table:
+            top = (row.n - 1) // 2
+            want = next(
+                (p for p in (top, top - 1) if p >= 0 and family.family_class(g, p).primitive),
+                None,
+            )
+            got = row.record.witness_p if row.record else None
+            if got != want:
+                failures.append(
+                    f"g={g}, n={row.n}: witness p={got}, largest qualifying p={want}"
+                )
+                break
+        gaps = [row.n for row in table if row.record is None]
+        holds = family.condition_star(g)[0]
+        if gaps and holds:
+            failures.append(f"g={g}: no witness for n in {gaps[:5]}, yet (*) holds")
+        if not gaps and not holds:
+            failures.append(f"g={g}: (*) fails, yet every n has a witness")
+    return _result(
+        "bounds", failures, f"g in {gs}, {pairs} pairs p, p+1, {rows} rows",
+        pairs=pairs, rows=rows,
+    )
 
 
 def suite_asymp(jobs: int = 1) -> SuiteResult:

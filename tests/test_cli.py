@@ -240,6 +240,22 @@ class TestHugeExponentDenominator:
         assert proc.stderr.startswith("error: ")
 
 
+def test_closed_pipe_exits_141_without_a_traceback():
+    # about 330 kB, several times a pipe's buffer, so the writer is still
+    # blocked when the reader goes
+    env = {**os.environ, "PYTHONPATH": str(Path(magicfiber.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "magicfiber", "star", "--max", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"# magicfiber ")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141, stderr
+    assert "Traceback" not in stderr
+
+
 def _limit_address_space():
     # runs in the child only: 1 GiB of address space
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

@@ -14,10 +14,15 @@ To print the digests of the current code:
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import magicfiber
 from magicfiber.cli import main
 
 FORMATTED = [
@@ -88,9 +93,9 @@ GOLDEN = {
     "bounds -g 7 -n 5..6 --format plain": "e6dc0c84ccc7d6889d1038e25fdb782f88ddacdbd977382154682cd13f9dd7ad",
     "bounds -g 7 -n 5..6 --format csv": "5bb21b2f242ba3130b2510ac6bb9b26277f2580cadd5b26b0449ee28351b4302",
     "bounds -g 7 -n 5..6 --format json": "d8928a1f1eece559c52f2bdf788da709e6f0fd1a3bf06a65b6e69941432d9873",
-    "bounds -g 2 -n 20..24 --tol 0.1 --format plain": "ea5c906a44187c83f91fb99bbf40df8e1de0d0e45b83d43d5f044a195b120733",
-    "bounds -g 2 -n 20..24 --tol 0.1 --format csv": "8705a846c2d5d2cbc11483da2ffdad8352a531b0ae7df61d1ffbcca7efaef6c6",
-    "bounds -g 2 -n 20..24 --tol 0.1 --format json": "29b0c05020533270290e3ccdd269230263cf57bb1a0cf990899f37061bb88c6d",
+    "bounds -g 2 -n 20..24 --tol 0.1 --format plain": "18a320ce45f6afc3ecd84b6736bb2ce34d5336bdf427b81d74c7e5b58123a80b",
+    "bounds -g 2 -n 20..24 --tol 0.1 --format csv": "c97916897dc32824137cbf90b29e5bffb61f3f0e5b551a60941cffcbef62645e",
+    "bounds -g 2 -n 20..24 --tol 0.1 --format json": "512da1d773a205e28c1398c64d7f8d6524d0522e7f0a59c2c18b5402087176e3",
     "star --max 12 --format plain": "c620555aaa730f109d67b84d5f07a3d6e0eee42110c9ef97d42098be2560dfa9",
     "star --max 12 --format csv": "277bffd2c6b39f3dff6cb4f5b03c483dc6045dc034bc8858405493c3f4631fcf",
     "star --max 12 --format json": "4f36f2e7a3ac8369c39f3ec50996628a3a91973cf4db5c9bbd76994a30377ef0",
@@ -143,6 +148,18 @@ def test_cli_bytes(command):
 
 def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("command", FORMATTED + UNFORMATTED)
+def test_no_traceback_from_a_child(command):
+    # in a child, so that an exception escaping main or the interpreter's
+    # final flush would reach stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(magicfiber.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "magicfiber", *command.split()],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
 
 
 if __name__ == "__main__":

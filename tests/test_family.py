@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from magicfiber import family
 from magicfiber import (
     NotPrimitiveError,
     condition_star,
@@ -251,6 +252,28 @@ class TestUpperBoundTable:
     def test_low_puncture_rows_allowed(self):
         rows = upper_bound_table(2, 1, 2)
         assert all(row.record is not None for row in rows)
+
+    def test_one_isolation_per_row_at_the_echoed_tol(self, monkeypatch):
+        orig = family.family_dilatation
+        calls = []
+
+        def counted(g, p, tol, **kwargs):
+            calls.append(p)
+            return orig(g, p, tol, **kwargs)
+
+        monkeypatch.setattr(family, "family_dilatation", counted)
+        tols = [Fraction(1, 10), Fraction(1, 10**3), Fraction(1, 10**12)]
+        for g in range(2, 9):
+            for n in range(3, 201):
+                witnesses = set()
+                for tol in tols:
+                    calls.clear()
+                    rec = family.bound_row(g, n, tol).record
+                    assert len(calls) <= 1
+                    witnesses.add(rec.witness_p if rec else None)
+                    if rec is not None:
+                        assert rec.bound == orig(g, rec.witness_p, tol)
+                assert len(witnesses) == 1, (g, n, witnesses)
 
     def test_parallel_matches_sequential(self):
         seq = upper_bound_table(3, 3, 30, jobs=1)

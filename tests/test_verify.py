@@ -34,6 +34,34 @@ def _no_witness(orig):
     return table
 
 
+def _smaller_p_witness(orig):
+    # the smaller qualifying candidate, which has the larger dilatation
+    def row(g, n, tol):
+        r = orig(g, n, tol)
+        p = (n - 1) // 2 - 1
+        if r.record is None or p < 0 or not family.family_class(g, p).primitive:
+            return r
+        return r._replace(record=r.record._replace(witness_p=p))
+
+    return row
+
+
+def _not_decreasing(orig):
+    # odd p get the bracket of p + 1, so lambda_1 and lambda_2 tie
+    return lambda g, p, tol=roots.DEFAULT_TOL, **kw: orig(g, p + p % 2, tol, **kw)
+
+
+def _spurious_gap(orig):
+    # 2g + 1 = 5 is prime, so no row of g = 2 lacks a witness
+    def table(g, *args, **kwargs):
+        rows = orig(g, *args, **kwargs)
+        if g == 2:
+            rows[-1] = rows[-1]._replace(record=None)
+        return rows
+
+    return table
+
+
 def _third_sign_change(orig):
     # t*f - 1 has the coefficient signs +, -, ..., -, +, -
     return lambda c: polynomials.make_poly(
@@ -58,7 +86,8 @@ RUNS = {
     "identity": lambda: verify.suite_identity(max_g=3, max_p=3),
     "star": lambda: verify.suite_star(equiv_max=50, brute_max=20),
     "roots": verify.suite_roots,
-    "bounds": lambda: verify.suite_bounds(gs=(2,), n_max=12),
+    # 2g + 1 = 15 at g = 7: no witness at n = 5 and 6
+    "bounds": lambda: verify.suite_bounds(gs=(2, 7), p_max=12, n_max=12),
 }
 
 # (suite, module, attribute, defect built from the original attribute,
@@ -107,6 +136,18 @@ CASES = [
     ),
     pytest.param(
         "bounds", family, "upper_bound_table", _no_witness, "g=2: no witness", id="bounds",
+    ),
+    pytest.param(
+        "bounds", family, "bound_row", _smaller_p_witness,
+        "g=2, n=3: witness p=0, largest qualifying p=1", id="bounds-smaller-p",
+    ),
+    pytest.param(
+        "bounds", family, "family_dilatation", _not_decreasing,
+        "g=2: brackets of p=1 and p=2 are not ordered", id="bounds-monotonicity",
+    ),
+    pytest.param(
+        "bounds", family, "upper_bound_table", _spurious_gap,
+        "g=2: no witness for n in [12], yet (*) holds", id="bounds-spurious-gap",
     ),
 ]
 
