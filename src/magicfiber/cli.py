@@ -469,9 +469,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, during a record or a --help text.
+        # Point stdout at devnull so that the interpreter's final flush cannot
+        # raise again (the SIGPIPE note in the docs of Python's signal
+        # module), and exit as a program that SIGPIPE ends does in a shell.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return code
+
+
+def _run(argv) -> int:
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     record = None
@@ -480,16 +493,8 @@ def main(argv=None) -> int:
     except (PrecisionError, ValueError, OverflowError) as exc:
         outcome = exc
     if record is not None:
-        try:
-            _emit(record, args.format, sys.stdout)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader closed stdout early.  Point it at devnull so that the
-            # interpreter's final flush cannot raise again (the SIGPIPE note
-            # in the docs of Python's signal module), and exit as a program
-            # that SIGPIPE ends does in a shell.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return EXIT_CLOSED_PIPE
+        _emit(record, args.format, sys.stdout)
+        sys.stdout.flush()
     if isinstance(outcome, int):
         return outcome
     print(f"error: {outcome}", file=sys.stderr)

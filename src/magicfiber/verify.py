@@ -193,32 +193,25 @@ def suite_star(equiv_max: int = 10_000, brute_max: int = 2_000) -> SuiteResult:
 
 def suite_bounds(
     gs: tuple[int, ...] = tuple(range(2, 10)),
-    p_max: int = 250,
     n_min: int = 3,
     n_max: int = 500,
     jobs: int = 1,
 ) -> SuiteResult:
     """The two theorems behind the bound tables (``family`` module docstring).
 
-    Monotonicity: the certified brackets of lambda_p and lambda_{p+1} are
-    strictly ordered, lambda_{p+1} < lambda_p, for p < ``p_max``; a pair the
-    brackets cannot separate fails.  Witnesses and gaps: every row of
-    ``upper_bound_table`` has the largest primitive candidate p (with
-    2p+1 <= n <= 2p+4) as its witness, and the table has a no-witness row
-    iff condition (*) fails.  The range 3..500 holds a full period 2(2g+1)
-    of n for every g <= 9.
+    Witnesses and gaps: every row of ``upper_bound_table`` has the largest
+    primitive candidate p (with 2p+1 <= n <= 2p+4) as its witness, and the
+    table has a no-witness row iff condition (*) fails.  Monotonicity: the
+    certified brackets of the table's distinct witnesses are strictly
+    ordered, lambda_q < lambda_p for witnesses p < q; a pair the brackets
+    cannot separate fails.  Every primitive p >= 1 up to (n_max - 1) // 2 is
+    a witness, so the pairs cover both candidates of each row where both
+    qualify, but for p = 0 at n = 3, 4.  The range 3..500 holds a full
+    period 2(2g+1) of n for every g <= 9.
     """
     failures = []
     pairs = rows = 0
     for g in gs:
-        prev = family.family_dilatation(g, 0)
-        for p in range(p_max):
-            pairs += 1
-            cur = family.family_dilatation(g, p + 1)
-            if not cur.hi < prev.lo:
-                failures.append(f"g={g}: brackets of p={p} and p={p + 1} are not ordered")
-                break
-            prev = cur
         table = family.upper_bound_table(g, n_min, n_max, jobs=jobs)
         rows += len(table)
         for row in table:
@@ -233,6 +226,13 @@ def suite_bounds(
                     f"g={g}, n={row.n}: witness p={got}, largest qualifying p={want}"
                 )
                 break
+        brackets = {row.record.witness_p: row.record.bound for row in table if row.record}
+        ps = sorted(brackets)
+        for p, q in zip(ps, ps[1:]):
+            pairs += 1
+            if not brackets[q].hi < brackets[p].lo:
+                failures.append(f"g={g}: brackets of p={p} and p={q} are not ordered")
+                break
         gaps = [row.n for row in table if row.record is None]
         holds = family.condition_star(g)[0]
         if gaps and holds:
@@ -240,7 +240,7 @@ def suite_bounds(
         if not gaps and not holds:
             failures.append(f"g={g}: (*) fails, yet every n has a witness")
     return _result(
-        "bounds", failures, f"g in {gs}, {pairs} pairs p, p+1, {rows} rows",
+        "bounds", failures, f"g in {gs}, {pairs} ordered witness pairs, {rows} rows",
         pairs=pairs, rows=rows,
     )
 

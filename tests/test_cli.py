@@ -256,6 +256,25 @@ def test_closed_pipe_exits_141_without_a_traceback():
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("argv", [["bounds", "--help"], ["--version"]])
+def test_help_to_a_closed_pipe_exits_141_quietly(argv):
+    # The reader is gone before the child starts.  stdout is block-buffered,
+    # as under a shell, so argparse's write succeeds and the flush fails.
+    env = {**os.environ, "PYTHONPATH": str(Path(magicfiber.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "magicfiber", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == b""
+
+
 def _limit_address_space():
     # runs in the child only: 1 GiB of address space
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

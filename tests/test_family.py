@@ -258,8 +258,9 @@ class TestUpperBoundTable:
         calls = []
 
         def counted(g, p, tol, **kwargs):
-            calls.append(p)
-            return orig(g, p, tol, **kwargs)
+            bound = orig(g, p, tol, **kwargs)
+            calls.append((p, tol, bound))
+            return bound
 
         monkeypatch.setattr(family, "family_dilatation", counted)
         tols = [Fraction(1, 10), Fraction(1, 10**3), Fraction(1, 10**12)]
@@ -269,10 +270,11 @@ class TestUpperBoundTable:
                 for tol in tols:
                     calls.clear()
                     rec = family.bound_row(g, n, tol).record
-                    assert len(calls) <= 1
+                    if rec is None:
+                        assert calls == []
+                    else:
+                        assert calls == [(rec.witness_p, tol, rec.bound)]
                     witnesses.add(rec.witness_p if rec else None)
-                    if rec is not None:
-                        assert rec.bound == orig(g, rec.witness_p, tol)
                 assert len(witnesses) == 1, (g, n, witnesses)
 
     def test_parallel_matches_sequential(self):

@@ -47,7 +47,7 @@ def _smaller_p_witness(orig):
 
 
 def _not_decreasing(orig):
-    # odd p get the bracket of p + 1, so lambda_1 and lambda_2 tie
+    # odd p get the bracket of p + 1, so the witnesses 3 and 4 of g = 2 tie
     return lambda g, p, tol=roots.DEFAULT_TOL, **kw: orig(g, p + p % 2, tol, **kw)
 
 
@@ -87,7 +87,7 @@ RUNS = {
     "star": lambda: verify.suite_star(equiv_max=50, brute_max=20),
     "roots": verify.suite_roots,
     # 2g + 1 = 15 at g = 7: no witness at n = 5 and 6
-    "bounds": lambda: verify.suite_bounds(gs=(2, 7), p_max=12, n_max=12),
+    "bounds": lambda: verify.suite_bounds(gs=(2, 7), n_max=12),
 }
 
 # (suite, module, attribute, defect built from the original attribute,
@@ -143,7 +143,7 @@ CASES = [
     ),
     pytest.param(
         "bounds", family, "family_dilatation", _not_decreasing,
-        "g=2: brackets of p=1 and p=2 are not ordered", id="bounds-monotonicity",
+        "g=2: brackets of p=3 and p=4 are not ordered", id="bounds-monotonicity",
     ),
     pytest.param(
         "bounds", family, "upper_bound_table", _spurious_gap,
