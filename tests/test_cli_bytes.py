@@ -40,6 +40,7 @@ FORMATTED = [
     "star --max 12",
     "star --max 60",  # witnesses of 2g+1 with three primes, e.g. 105 at g = 52
     "asymp bracket --m-range 2..12 --tol 1e-8",
+    "asymp bracket --m-range 2..12",
     "asymp ratio --points 10,20 --tol 1e-8",
     "verify roots identity",
     "verify rootcount",
@@ -105,6 +106,9 @@ GOLDEN = {
     "asymp bracket --m-range 2..12 --tol 1e-8 --format plain": "1646e85dacb5c938149746420dd19b26cf318b7153b44972a56f0cc49d13da1f",
     "asymp bracket --m-range 2..12 --tol 1e-8 --format csv": "716a7f219fc3275db7a2a9391924d46b8069078d3b1a64627a651d144398bde9",
     "asymp bracket --m-range 2..12 --tol 1e-8 --format json": "7c7e1f0f838539c1f5297b700a850c829ba2a886ee936e6f06ca7f302b4c7381",
+    "asymp bracket --m-range 2..12 --format plain": "adcc0f5898afc318909d7342947f3b42ac582289f6ed2b8a597e6b9936e21e62",
+    "asymp bracket --m-range 2..12 --format csv": "aa3523c87b1717f742e56ab29a23fbedd653be45d29222ba7f54d515e21dd9cc",
+    "asymp bracket --m-range 2..12 --format json": "1e272827de9eb8292229aeed4cf1932785137cae514c98ae9737885eb3bdb47a",
     "asymp ratio --points 10,20 --tol 1e-8 --format plain": "7db873afa08ea6b318abb55967126dd471f3c6972188f75c9cf7963333eb5cf3",
     "asymp ratio --points 10,20 --tol 1e-8 --format csv": "dfbcdd8d5c3c1e101ff777b5d5b08be4fac9facd0dfdbe4500caa6108aae940a",
     "asymp ratio --points 10,20 --tol 1e-8 --format json": "ef767f26f9625b2d8afa7bad66f9329bda9e3693c662cc6f5008a7a76a7fdc52",
