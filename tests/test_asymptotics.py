@@ -1,5 +1,6 @@
 """Tests for the asymptotic sweeps over the family m -> family_poly(g, m)."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,30 @@ class TestBracketCheck:
     def test_bad_exponents_rejected(self):
         with pytest.raises(ValueError):
             bracket_check(b_family(2), "1.1", "1.2", 2, 4)
+
+
+# Failure lists of bracket_check(b_family(g), c1, c2, 2, 2000), frozen as
+# (count, SHA-256 of the ;-joined list) so that any way of deciding the
+# verdicts must reproduce them exactly.
+FROZEN_FAILURES = {
+    (g, "0.9", "1.1"): (1999, "93e06f78097acc75fbc46ecbebb168cf3a60a5192c6c391560aad847576aed97")
+    for g in range(2, 7)
+}
+FROZEN_FAILURES.update({
+    (2, "0.5", "2.0"): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (3, "0.5", "2.0"): (41, "98b9246b218fcc8e3f6c8ececed67b1e0e5b1808a5dfcd6b141be14c5d0cd137"),
+    (4, "0.5", "2.0"): (112, "96fe88f59bf20226d834c30bc99d64e8ea47c652aa685bcc72a183e115699af9"),
+    (5, "0.5", "2.0"): (219, "21724d69fabbcf19863570f1f68a31abe91007a09f358a26fc494b82d0def6a4"),
+    (6, "0.5", "2.0"): (370, "b8903fb9cbfd1f73744540cd0c9394cda854d5ed0e99a007205155575fe4d243"),
+})
+
+
+@pytest.mark.parametrize("g, c1, c2", sorted(FROZEN_FAILURES))
+def test_frozen_verdicts(g, c1, c2):
+    failures = bracket_check(b_family(g), c1, c2, 2, 2000).failures
+    text = ";".join(map(str, failures))
+    got = (len(failures), hashlib.sha256(text.encode()).hexdigest())
+    assert got == FROZEN_FAILURES[g, c1, c2]
 
 
 class TestRatioTable:
