@@ -96,23 +96,20 @@ def _dyadic_pow_cmp(x: Fraction, e: int, m: int, a: int) -> int:
     return _certified_sign([e, 0], [1, -(m**a)], num, k, DEFAULT_MAX_BITS)
 
 
-def _cmp_root_to_power(
-    f: SparsePoly, root: CertifiedRoot, m: int, c: Fraction, tol: Fraction
-) -> tuple[int, CertifiedRoot]:
+def _cmp_root_to_power(f: SparsePoly, root: CertifiedRoot, m: int, c: Fraction) -> int:
     """Sign of lambda - m^(c/m) for the root of f, refining as needed."""
     if m == 1:
-        return 1, root  # threshold is 1 and the root exceeds 1
+        return 1  # threshold is 1 and the root exceeds 1
     a, b = c.numerator, c.denominator
     e = b * m
     for _ in range(64):
         # lambda lies strictly inside (lo, hi), so a weak comparison at an
         # endpoint already decides strictly for lambda itself.
         if _dyadic_pow_cmp(root.lo, e, m, a) >= 0:
-            return 1, root
+            return 1
         if _dyadic_pow_cmp(root.hi, e, m, a) <= 0:
-            return -1, root
-        tol = tol / 2
-        root = unique_root_gt1(f, tol)
+            return -1
+        root = unique_root_gt1(f, root.tol / 2)  # the child cell on the same grid
     raise PrecisionError(f"could not separate the root from m^({c}/{m})")
 
 
@@ -143,35 +140,28 @@ class BracketReport(NamedTuple):
         return self.threshold is not None
 
 
-def _bracket_ok(fam: Family, m: int, c1: Fraction, c2: Fraction, tol) -> bool:
+def _bracket_ok(fam: Family, m: int, c1: Fraction, c2: Fraction) -> bool:
     f = fam(m)
-    root = unique_root_gt1(f, tol)
-    s1, root = _cmp_root_to_power(f, root, m, c1, tol)
-    if s1 <= 0:
-        return False
-    s2, _ = _cmp_root_to_power(f, root, m, c2, tol)
-    return s2 < 0
+    root = unique_root_gt1(f)
+    return _cmp_root_to_power(f, root, m, c1) > 0 and _cmp_root_to_power(f, root, m, c2) < 0
 
 
 def bracket_check(
-    fam: Family,
-    c_lower,
-    c_upper,
-    m_lo: int,
-    m_hi: int,
-    tol=DEFAULT_TOL,
-    jobs: int = 1,
+    fam: Family, c_lower, c_upper, m_lo: int, m_hi: int, jobs: int = 1
 ) -> BracketReport:
-    """Certified per-m verdicts of the two-sided bracket over [m_lo, m_hi]."""
+    """Certified per-m verdicts of the two-sided bracket over [m_lo, m_hi].
+
+    Each verdict depends on lambda_m alone: it is isolated at DEFAULT_TOL and
+    refined only where a threshold falls inside its bracket.
+    """
     c1 = _as_fraction(c_lower)
     c2 = _as_fraction(c_upper)
     if not 0 < c1 < 1 < c2:
         raise ValueError("need 0 < c_lower < 1 < c_upper")
     if not 1 <= m_lo <= m_hi:
         raise ValueError("need 1 <= m_lo <= m_hi")
-    tol = _as_tol(tol)
     ms = range(m_lo, m_hi + 1)
-    oks = pmap(_bracket_ok, [(fam, m, c1, c2, tol) for m in ms], jobs)
+    oks = pmap(_bracket_ok, [(fam, m, c1, c2) for m in ms], jobs)
     failures = tuple(m for m, ok in zip(ms, oks) if not ok)
     return BracketReport(c_lower=c1, c_upper=c2, m_lo=m_lo, m_hi=m_hi, failures=failures)
 
@@ -227,8 +217,11 @@ def ratio_table(
         raise ValueError("q must be nonzero")
     ms = [int(m) for m in m_list]
     for m in ms:
-        if q * m + v <= 1:
+        n = q * m + v
+        if n <= 1:
             raise ValueError(f"q*m+v must exceed 1 (fails at m={m})")
+        if n > sys.float_info.max:  # _ratio_bounds takes float(n)
+            raise PrecisionError(f"q*m+v exceeds the float range (at m={m})")
     tol = _as_tol(tol)
     rows = pmap(_ratio_row, [(fam, m, q, v, tol) for m in ms], jobs)
     decreasing = all(

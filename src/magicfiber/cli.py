@@ -14,13 +14,14 @@ A run builds one record: the subcommand's ``cmd_*`` computes it and returns
 it with its outcome, and ``main`` writes it once, to stdout in plain, csv, or
 json form (``--format``), then maps the outcome to the exit code.  stderr
 carries diagnostics only.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 precision-ceiling failure, 141 (128 + SIGPIPE) when the
-reader closes stdout before the record is written.  A ``class`` with no
-fiber data (zero, out of the cone, or not primitive) writes its partial
-record to stdout, then its ``error:`` line to stderr, and exits 2; the other
-usage and precision errors write no record.  Numeric approximations are always
-accompanied by their exact bracket endpoints, serialized as decimal strings;
-identical invocations produce byte-identical output regardless of ``--jobs``.
+2 usage error, 3 a guard's refusal (precision ceiling, float range),
+141 (128 + SIGPIPE) when the reader closes stdout before the record is
+written.  A ``class`` with no fiber data (zero, out of the cone, or not
+primitive) writes its partial record to stdout, then its ``error:`` line to
+stderr, and exits 2; the other usage and precision errors write no record.
+Numeric approximations are always accompanied by their exact bracket
+endpoints, serialized as decimal strings; identical invocations produce
+byte-identical output regardless of ``--jobs``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -87,7 +89,9 @@ def dyadic_decimal(x: Fraction) -> str:
     if den & (den - 1):
         raise ValueError(f"{x} is not dyadic")
     k = den.bit_length() - 1
-    digits = str(abs(num) * 5**k).rjust(k + 1, "0")
+    # Decimal writes an int of any length; str() stops at the interpreter's
+    # 4300-digit limit on int-to-str conversion.
+    digits = format(Decimal(abs(num) * 5**k), "f").rjust(k + 1, "0")
     ip, fp = digits[:-k], digits[-k:].rstrip("0")
     sign = "-" if num < 0 else ""
     return f"{sign}{ip}.{fp}" if fp else f"{sign}{ip}"
@@ -163,8 +167,9 @@ def _int_at_least(lo: int):
 def _record(args, inputs, columns, rows, summary=None):
     # A subcommand with --tol isolates roots at it; without --max-bits it
     # runs at the package ceiling, so that is the value echoed.  One without
-    # --tol applies neither (star isolates nothing, the verify suites use
-    # their own tols), so it echoes none.
+    # --tol applies neither (star isolates nothing, asymp bracket's verdicts
+    # do not depend on a tol, the verify suites use their own), so it echoes
+    # none.
     tolerances = {}
     if hasattr(args, "tol"):
         tolerances = {
@@ -311,10 +316,9 @@ def cmd_star(args):
 def cmd_asymp_bracket(args):
     from .asymptotics import b_family, bracket_check
 
-    tol = _as_tol(args.tol)
     fam = b_family(args.genus)
     m_lo, m_hi = _parse_range(args.m_range)
-    report = bracket_check(fam, args.c1, args.c2, m_lo, m_hi, tol, jobs=args.jobs)
+    report = bracket_check(fam, args.c1, args.c2, m_lo, m_hi, jobs=args.jobs)
     row = {
         "c_lower": str(report.c_lower),
         "c_upper": str(report.c_upper),
@@ -437,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("asymp", help="asymptotic sweeps for the (g, p) family")
     modes = sp.add_subparsers(dest="mode", required=True)
     sp = modes.add_parser(
-        "bracket", parents=[tol, fmt, jobs],
+        "bracket", parents=[fmt, jobs],
         help="check m^(c1/m) < lambda_m < m^(c2/m) over an m sweep",
         epilog="CSV columns: " + ",".join(COLUMNS["asymp_bracket"]),
     )

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import magicfiber
+from magicfiber import FiberedClass, dilatation_poly, unique_root_gt1
 from magicfiber.cli import dyadic_decimal, main, round_decimal
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -39,6 +41,17 @@ class TestSerialization:
     def test_dyadic_decimal_rejects_non_dyadic(self):
         with pytest.raises(ValueError):
             dyadic_decimal(Fraction(1, 3))
+
+    @pytest.mark.parametrize("tol", ["1e-12", "1e-1500"])
+    def test_bracket_reads_back_exactly(self, tol):
+        # at 1e-1500 the endpoints have about 5,000 digits, past the
+        # interpreter's limit on int-to-str conversion
+        code, out = run_cli("class", "1", "1", "0", "--tol", tol, "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        root = unique_root_gt1(dilatation_poly(FiberedClass(1, 1, 0)), Fraction(tol))
+        got = tuple(Fraction(Decimal(row[key])) for key in ("lambda_lo", "lambda_hi"))
+        assert got == (root.lo, root.hi)
 
 
 class TestClassCommand:
@@ -132,7 +145,7 @@ class TestJsonRoundTrip:
             ("bounds", "-g", "2", "-n", "3..10"),
             ("star", "--max", "12"),
             ("asymp", "ratio", "--points", "10,20", "--tol", "1e-8"),
-            ("asymp", "bracket", "--m-range", "2..12", "--tol", "1e-8"),
+            ("asymp", "bracket", "--m-range", "2..12"),
         ],
     )
     def test_round_trip(self, argv):
@@ -291,7 +304,13 @@ def _limit_address_space():
         (["asymp", "bracket", "-g", "2", "--c1", "759987450781/1000000000000", "--m-range", "2..2"], 3),
         # the degree is past the float range, so there is no guessed start
         # cell, and the size guard refuses the path from (0, 0)
+        (["asymp", "ratio", "-g", "2", "-q", "1e-20", "-v", "4", "--points", str(10**320)], 3),
+        # n = q*m + v is past the float range, so the ratio guard refuses it
+        # before any isolation
         (["asymp", "ratio", "-g", "2", "-q", "2", "-v", "4", "--points", str(10**320)], 3),
+        (["asymp", "ratio", "-g", "2", "-q", "1e400", "-v", "0", "--points", "10"], 3),
+        # the bracket's endpoints have about 5,000 decimal digits
+        (["class", "1", "1", "0", "--tol", "1e-1500"], 0),
     ],
 )
 def test_extreme_inputs_finish_in_bounded_memory(argv, code):
@@ -320,6 +339,7 @@ class TestFlagSets:
             ("asymp", "bracket", "-q", "7", "-v", "1", "--points", "5", "--m-range", "2..3"),
             ("asymp", "ratio", "--c1", "0.5", "--points", "10"),
             ("asymp", "bracket", "--points", "5", "--m-range", "2..3"),
+            ("asymp", "bracket", "--tol", "1e-8", "--m-range", "2..3"),
         ],
     )
     def test_flag_not_applied_is_usage_error(self, argv):
@@ -342,9 +362,12 @@ class TestFlagSets:
         assert other not in text
 
     def test_echo_is_the_value_in_force(self):
-        # star isolates nothing and the verify suites isolate at their own
-        # tols, so neither echoes a tolerance
+        # star isolates nothing, asymp bracket's verdicts do not depend on a
+        # tol, and the verify suites isolate at their own tols, so none of
+        # them echoes a tolerance
         _, out = run_cli("star", "--max", "3", "--format", "json")
+        assert json.loads(out)["tolerances"] == {}
+        _, out = run_cli("asymp", "bracket", "--m-range", "2..3", "--format", "json")
         assert json.loads(out)["tolerances"] == {}
         _, out = run_cli("verify", "star", "--format", "json")
         assert json.loads(out)["tolerances"] == {}

@@ -39,7 +39,6 @@ FORMATTED = [
     "bounds -g 2 -n 20..24 --tol 0.1",  # loose tol: brackets of neighbouring p overlap
     "star --max 12",
     "star --max 60",  # witnesses of 2g+1 with three primes, e.g. 105 at g = 52
-    "asymp bracket --m-range 2..12 --tol 1e-8",
     "asymp bracket --m-range 2..12",
     "asymp ratio --points 10,20 --tol 1e-8",
     "verify roots identity",
@@ -103,12 +102,9 @@ GOLDEN = {
     "star --max 60 --format plain": "1dbf8abe2fbedca6d47436b53e79f3e2d24827a8dce2f8fc6d9932482871d59e",
     "star --max 60 --format csv": "9a22a0821711bcefcb5fd60ee6cf8e0d6cc68beb076d412edd7bab7546e22940",
     "star --max 60 --format json": "20352cff09f6654f4a7ac9261b6c1398d7c71af520a8320f17676db21f6e6922",
-    "asymp bracket --m-range 2..12 --tol 1e-8 --format plain": "1646e85dacb5c938149746420dd19b26cf318b7153b44972a56f0cc49d13da1f",
-    "asymp bracket --m-range 2..12 --tol 1e-8 --format csv": "716a7f219fc3275db7a2a9391924d46b8069078d3b1a64627a651d144398bde9",
-    "asymp bracket --m-range 2..12 --tol 1e-8 --format json": "7c7e1f0f838539c1f5297b700a850c829ba2a886ee936e6f06ca7f302b4c7381",
-    "asymp bracket --m-range 2..12 --format plain": "adcc0f5898afc318909d7342947f3b42ac582289f6ed2b8a597e6b9936e21e62",
+    "asymp bracket --m-range 2..12 --format plain": "7d2653a94236b5550f208566e91f575688cdcc9e32858abeadf6c2169a185bfd",
     "asymp bracket --m-range 2..12 --format csv": "aa3523c87b1717f742e56ab29a23fbedd653be45d29222ba7f54d515e21dd9cc",
-    "asymp bracket --m-range 2..12 --format json": "1e272827de9eb8292229aeed4cf1932785137cae514c98ae9737885eb3bdb47a",
+    "asymp bracket --m-range 2..12 --format json": "373a6292db471bd01afcb00ea3f525517445925e595b8d277ed6a2a7b2f2896e",
     "asymp ratio --points 10,20 --tol 1e-8 --format plain": "7db873afa08ea6b318abb55967126dd471f3c6972188f75c9cf7963333eb5cf3",
     "asymp ratio --points 10,20 --tol 1e-8 --format csv": "dfbcdd8d5c3c1e101ff777b5d5b08be4fac9facd0dfdbe4500caa6108aae940a",
     "asymp ratio --points 10,20 --tol 1e-8 --format json": "ef767f26f9625b2d8afa7bad66f9329bda9e3693c662cc6f5008a7a76a7fdc52",
