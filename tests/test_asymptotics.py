@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from magicfiber import (
+    asymptotics,
     b_family,
     bracket_check,
     family_poly,
     ratio_table,
     unique_root_gt1,
 )
-from magicfiber import asymptotics
 from magicfiber.asymptotics import _cmp_root_to_power, _dyadic_pow_cmp
 from magicfiber.roots import DEFAULT_MAX_BITS, PrecisionError
 
