@@ -11,6 +11,7 @@ from magicfiber import (
     bracket_check,
     family_poly,
     ratio_table,
+    roots,
     unique_root_gt1,
 )
 from magicfiber.asymptotics import _cmp_root_to_power, _dyadic_pow_cmp
@@ -152,6 +153,30 @@ def test_frozen_verdicts(g, c1, c2):
     text = ";".join(map(str, failures))
     got = (len(failures), hashlib.sha256(text.encode()).hexdigest())
     assert got == FROZEN_FAILURES[g, c1, c2]
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_bracket_work_is_pinned(g, kernel_calls, monkeypatch):
+    # One isolation per m, each certified by the two ends of its start cell
+    # at the start precision, and every verdict settled by float logs: a
+    # faster estimate must not be bought with refuted start cells.
+    isolations = []
+    isolate = asymptotics.unique_root_gt1
+
+    def counted(*args, **kwargs):
+        isolations.append(args)
+        return isolate(*args, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("a power comparison reached the certified sign")
+
+    monkeypatch.setattr(asymptotics, "unique_root_gt1", counted)
+    monkeypatch.setattr(asymptotics, "_certified_sign", refused)
+    bracket_check(b_family(g), "0.9", "1.1", 2, 2000)
+    assert len(isolations) == 1999
+    assert len(kernel_calls) == 3998
+    off = [c for c in kernel_calls if c[2] != max(roots.DEFAULT_BITS, c[1] + 64)]
+    assert off == []
 
 
 class TestRatioTable:
