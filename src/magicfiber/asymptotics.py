@@ -81,7 +81,8 @@ def _dyadic_pow_cmp(x: Fraction, e: int, m: int, a: int) -> int:
     about a log2(m) bits; past DEFAULT_MAX_BITS of them, or when that
     precision ceiling cannot separate them, it raises PrecisionError.
     """
-    y = float(x - 1)
+    # the correctly rounded float(x - 1), without building the Fraction
+    y = (x.numerator - x.denominator) / x.denominator
     if y >= sys.float_info.min:  # a subnormal or zero x - 1 has lost precision
         logs = (math.log(e), math.log(math.log1p(y)), -math.log(a), -math.log(math.log(m)))
         d = sum(logs)

@@ -164,18 +164,22 @@ def dilatation_poly(c) -> SparsePoly:
 
 
 def family_poly(g: int, p: int) -> SparsePoly:
-    """The (g, p) family polynomial, canonical for all g, p >= 0."""
+    """The (g, p) family polynomial, canonical for all g, p >= 0.
+
+    The canonical form is built directly, without ``make_poly``.  The middle
+    exponents 2p+1, p+g+1 and 2g+1 lie strictly between 0 and 2p+2g+2, and
+    p+g+1 lies between the other two, so they descend as 2h+1, p+g+1, 2k+1
+    with h = max(p, g) and k = min(p, g); when p == g all three are 2g+1
+    and merge into the one term (2g+1, -4).
+    """
     if g < 0 or p < 0:
         raise ValueError("g and p must be nonnegative")
-    return make_poly(
-        [
-            (2 * p + 2 * g + 2, 1),
-            (2 * p + 1, -1),
-            (p + g + 1, -2),
-            (2 * g + 1, -1),
-            (0, 1),
-        ]
-    )
+    if p == g:
+        middle = ((2 * g + 1, -4),)
+    else:
+        h, k = max(p, g), min(p, g)
+        middle = ((2 * h + 1, -1), (p + g + 1, -2), (2 * k + 1, -1))
+    return SparsePoly(((2 * p + 2 * g + 2, 1), *middle, (0, 1)))
 
 
 def sign_variations(f: SparsePoly) -> int:

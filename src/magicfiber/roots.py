@@ -250,7 +250,8 @@ def unique_root_gt1(
         i = 2 * i + (sign_at((1 << j) + (2 * i + 1) * w, j) < 0)
     lo = Fraction((1 << j) + i * w, 1 << j)
     hi = Fraction((1 << j) + (i + 1) * w, 1 << j)
-    return CertifiedRoot(lo=lo, hi=hi, value=(lo + hi) / 2, tol=tol)
+    value = Fraction((2 << j) + (2 * i + 1) * w, 2 << j)
+    return CertifiedRoot(lo=lo, hi=hi, value=value, tol=tol)
 
 
 def _grid_level(tol: Fraction) -> int:
@@ -291,6 +292,15 @@ def _start_cell(exps, coeffs, max_level: int):
     return lo >> shift, level - shift
 
 
+def _lambert_w(z: float) -> float:
+    """W(z) for z > 0, within about 1e-4 relative: Winitzki's closed form
+    (ICCSA 2003), then one Newton step on w + ln w = ln z, the log form of
+    w*exp(w) = z (Corless et al., Adv. Comput. Math. 1996)."""
+    v = math.log1p(z)
+    w = v * (1 - math.log1p(v) / (2 + v))
+    return w - (w + math.log(w) - math.log(z)) * w / (1 + w)
+
+
 def _estimate_root(exps, coeffs):
     """Uncertified (x, err) with |lambda - 1 - x| <= err, or None.
 
@@ -298,11 +308,19 @@ def _estimate_root(exps, coeffs):
     is the zero of psi(u) = ln X(u) - ln Y(u), where f(t)/t**deg = X - Y,
     X(u) = 1 - exp(-d1*u) pairs the leading term with one unit of the
     first negative term, and Y holds the rest of the negative terms, the
-    constant term merged into the last of them.  Both parts are positive for u > 0 and computed without
-    cancellation, and psi is nearly concave and increasing, so Newton steps
-    from u = 1/deg, kept inside a bracket by bisection, converge in a few
-    steps.  None when the root is not below 2 (psi(ln 2) <= 0) or Newton
-    does not settle.
+    constant term merged into the last of them.  Both parts are positive
+    for u > 0 and computed without cancellation, and psi is nearly concave
+    and increasing, so Newton steps kept inside a bracket by bisection
+    converge in a few steps.  They start at the small-u balance
+    ln(d1*u) - d1*u/2 + d0*u = ln Y(0), ln X to second order with Y scaled by
+    exp(d0*u) and frozen at u = 0, whose solution is the Lambert-W point
+    u0 = W(c*Y(0)/d1)/c, c = d0 - d1/2, where Y(0) = -f(1) > 0.  Most
+    family members take three evaluations of psi: over g = 2..6 and
+    m = 2..2000 the mean is 3.1 and the most 5, and 500 sampled cone
+    classes take 4.9 on average.  psi(ln 2) is evaluated only when an iterate, or the final
+    error interval, reaches ln 2; below it, psi's sign at a smaller point
+    settles psi(ln 2) > 0.  None when the root is not below 2
+    (psi(ln 2) <= 0) or Newton does not settle.
     """
     deg = exps[0]
     d1 = deg - exps[1]
@@ -311,6 +329,8 @@ def _estimate_root(exps, coeffs):
         rest.insert(0, (d1, -coeffs[1] - 1))
     d0 = rest[0][0]
     dm, am = rest[-1]
+    inner = [(d - d0, a) for d, a in rest[:-1]]
+    sm, sg = dm - d0, deg - dm
 
     def psi(u):
         # psi(u), psi'(u) and a bound on the summands' magnitudes; Y is
@@ -318,28 +338,34 @@ def _estimate_root(exps, coeffs):
         x = -math.expm1(-d1 * u)
         xp = d1 * math.exp(-d1 * u)
         y = yp = 0.0
-        for d, a in rest[:-1]:
-            term = a * math.exp(-(d - d0) * u)
+        for s, a in inner:
+            term = a * math.exp(-s * u)
             y += term
-            yp -= (d - d0) * term
+            yp -= s * term
         # am*exp(-dm*u) - exp(-deg*u), kept positive: am - 1 - expm1(...)
-        em = math.exp(-(dm - d0) * u)
-        g = (am - 1) - math.expm1(-(deg - dm) * u)
+        em = math.exp(-sm * u)
+        g = (am - 1) - math.expm1(-sg * u)
         y += em * g
-        yp += em * ((deg - dm) * math.exp(-(deg - dm) * u) - (dm - d0) * g)
+        yp += em * (sg * math.exp(-sg * u) - sm * g)
         lx, ly = math.log(x), math.log(y)
         return lx + d0 * u - ly, xp / x + d0 - yp / y, abs(lx) + d0 * u + abs(ly)
 
     a, b = 0.0, math.log(2)
-    if not psi(b)[0] > 0:
-        return None
-    u = 1.0 / deg
+    capped = True  # b is ln 2, and psi(ln 2) > 0 is not yet known
+    c = d0 - d1 / 2
+    u = _lambert_w(c * -sum(coeffs) / d1) / c
     for _ in range(100):
+        if not a < u < b:
+            if capped and u >= b:
+                if not psi(b)[0] > 0:
+                    return None
+                capped = False
+            u = math.sqrt(a * b) if a > 0 else b / 16
         h, hp, size = psi(u)
         if h < 0:
             a = u
         else:
-            b = u
+            b, capped = u, False
         if hp > 0:
             step = h / hp
             # the rounding error of psi, divided by the slope
@@ -347,8 +373,8 @@ def _estimate_root(exps, coeffs):
             u -= step
             if abs(step) <= max(noise, 2.0**-50 * u):
                 err_u = 4 * (noise + abs(step))
+                if capped and u + err_u >= b and not psi(b)[0] > 0:
+                    return None
                 x = math.expm1(u)
                 return x, math.exp(u) * err_u + 2.0**-52 * x
-        if not a < u < b:
-            u = math.sqrt(a * b) if a > 0 else b / 16
     return None

@@ -51,3 +51,31 @@ def test_tracer_installs_traces_and_restores():
     assert counts["roots.isolations"] >= 4
     assert counts["polynomials.calls"] == 4  # one family member per m
     assert counts["kernel.calls"] > 0
+
+
+# Short forms of the four workloads of perfbench/run.py, each run at --jobs 1
+# under the tracer, as its measure_layers runs them.
+SHORT_WORKLOADS = {
+    "bounds": ["bounds", "-g", "2", "-n", "3..20", "--tol", "1e-30"],
+    "bracket": ["asymp", "bracket", "-g", "2", "--m-range", "2..20"],
+    "ratio": ["asymp", "ratio", "-g", "2", "-q", "2", "-v", "4", "--points", "10000,100000"],
+    "oracles": ["verify", "roots", "identity", "rootcount"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SHORT_WORKLOADS))
+def test_traced_workload_isolates_a_root(workload):
+    # Lift this check once measure_layers guards a workload with no
+    # isolation (ROADMAP item 1).
+    args = SHORT_WORKLOADS[workload]
+    tol = Fraction(args[args.index("--tol") + 1]) if "--tol" in args else Fraction(1, 10**12)
+    t = tracer.Tracer("magicfiber", tol)
+    with t.installed(), redirect_stdout(io.StringIO()):
+        code = magicfiber.cli.main(args + ["--jobs", "1", "--format", "json"])
+    assert code == 0
+    assert t.counts()["roots.isolations"] >= 1, (
+        f"{workload} isolates no root: perfbench/run.py measure_layers divides "
+        "kernel.calls and roots.distinct by roots.isolations and reads "
+        "root_latencies[0], so --trace 1 would exit 1; guard that division "
+        "first (ROADMAP item 1)"
+    )

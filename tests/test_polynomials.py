@@ -158,6 +158,17 @@ class TestFamilyPoly:
     def test_degenerate_collision(self):
         assert family_poly(0, 0) == make_poly([(2, 1), (1, -4), (0, 1)])
 
+    @settings(max_examples=200)
+    @given(st.integers(0, 10**9), st.integers(0, 10**9))
+    def test_direct_form_is_make_poly(self, g, p):
+        assert family_poly(g, p) == make_poly(
+            [(2 * p + 2 * g + 2, 1), (2 * p + 1, -1), (p + g + 1, -2), (2 * g + 1, -1), (0, 1)]
+        )
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 7, 10**9])
+    def test_p_equals_g_merges_the_middle(self, g):
+        assert family_poly(g, g).terms == ((4 * g + 2, 1), (2 * g + 1, -4), (0, 1))
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             family_poly(-1, 0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magicfiber import roots
+from magicfiber.verify import sample_cone_classes
 from magicfiber import (
     PrecisionError,
     bound_row,
@@ -299,45 +300,64 @@ class TestWrongGuess:
             unique_root_gt1(family_poly(2, 10), Fraction(1, 2**300), max_bits=128)
 
 
-def test_no_far_point_evaluation(monkeypatch):
+ESTIMATE_SAMPLE = {
+    "family": [family_poly(g, m) for g in range(2, 7) for m in (2, 3, 10, 100, 1000, 2000)],
+    "family_large_m": [family_poly(2, 10**4), family_poly(2, 10**6)],
+    "cone_classes": [dilatation_poly(c) for c in sample_cone_classes(200, 100)],
+    "lambda_at_least_2": [
+        dilatation_poly(c) for c in [(1, 1, 0), (2, 1, 0), (1, 2, 0), (2, 2, 1), (3, 1, 0)]
+    ],
+}
+
+
+@pytest.mark.parametrize("sample", sorted(ESTIMATE_SAMPLE))
+def test_estimate_contract(sample):
+    # against a certified bracket at tol 2**-80, in exact Fractions: lambda - 1
+    # lies within err of x, err is below 2**-40 * x, and the estimate gives
+    # up exactly when lambda >= 2
+    bad = []
+    for f in ESTIMATE_SAMPLE[sample]:
+        root = unique_root_gt1(f, Fraction(1, 2**80))
+        assert not root.lo < 2 < root.hi
+        est = roots._estimate_root(f.exponents(), f.coefficients())
+        if root.lo > 2 or est is None:
+            if (root.lo > 2) != (est is None):
+                bad.append((str(f), est, float(root.lo)))
+            continue
+        x, err = map(Fraction, est)
+        if not (x - err <= root.lo - 1 and root.hi - 1 <= x + err and err < x / 2**40):
+            bad.append((str(f), est, float(root.lo)))
+    assert bad == []
+
+
+def test_no_far_point_evaluation(kernel_calls):
     # f(2) alone costs tens of milliseconds at this degree
-    points = []
-    kernel = roots.eval_enclosure
-
-    def counting(exps, coeffs, tnum, tk, prec):
-        points.append((tnum, tk))
-        return kernel(exps, coeffs, tnum, tk, prec)
-
-    monkeypatch.setattr(roots, "eval_enclosure", counting)
     r = unique_root_gt1(family_poly(2, 10**6))
+    points = [(tnum, tk) for tnum, tk, _ in kernel_calls]
     assert 1 < r.lo < r.hi < 2
     assert len(points) <= 3
     assert (2, 0) not in points
 
 
-def _near_points_only(monkeypatch, deg, limit):
-    """Wrap the kernel: fail on a point with deg*(t - 1) > limit, before it runs."""
-    points = []
-    kernel = roots.eval_enclosure
+def _near_points_only(kernel_calls, deg, limit):
+    """Refuse a point with deg*(t - 1) > limit, before the kernel runs."""
 
-    def checked(exps, coeffs, tnum, tk, prec):
+    def near(tnum, tk, prec):
         assert deg * (tnum - (1 << tk)) <= limit << tk, (tnum, tk)
-        points.append((tnum, tk))
-        return kernel(exps, coeffs, tnum, tk, prec)
 
-    monkeypatch.setattr(roots, "eval_enclosure", checked)
-    return points
+    kernel_calls.guard = near
 
 
-def test_deep_start_cell(monkeypatch):
+def test_deep_start_cell(kernel_calls):
     # lambda - 1 is about 6e-29, far below tol: the start cell lies below the
     # tol level, where t**deg stays small
     f = family_poly(2, 10**30)
-    points = _near_points_only(monkeypatch, f.degree(), 1 << 10)
+    _near_points_only(kernel_calls, f.degree(), 1 << 10)
     r = unique_root_gt1(f)
     # the cell (1, j) at the first level j with 2**-j <= lambda - 1, certified
     # at its two ends at the start precision, and no bisection step
     assert r.hi - 1 == 2 * (r.lo - 1) < Fraction(1, 10**27)
+    points = [(tnum, tk) for tnum, tk, _ in kernel_calls]
     assert len(set(points)) == len(points) == 2
 
 
@@ -349,28 +369,20 @@ def test_deep_start_cell(monkeypatch):
     ],
     ids=["bound_rows", "family_sweep"],
 )
-def test_no_sign_escalates(monkeypatch, isolate):
+def test_no_sign_escalates(kernel_calls, isolate):
     # every certified sign settles at _certified_sign's start precision; a
     # point may repeat (bound_row isolates one p more than once), but never
     # at a higher precision
-    precs = []
-    kernel = roots.eval_enclosure
-
-    def recording(exps, coeffs, tnum, tk, prec):
-        precs.append((prec, max(roots.DEFAULT_BITS, tk + 64)))
-        return kernel(exps, coeffs, tnum, tk, prec)
-
-    monkeypatch.setattr(roots, "eval_enclosure", recording)
     isolate()
-    assert precs
-    assert [p for p in precs if p[0] != p[1]] == []
+    assert kernel_calls
+    assert [c for c in kernel_calls if c[2] != max(roots.DEFAULT_BITS, c[1] + 64)] == []
 
 
-def test_size_guard_refuses_before_the_kernel(monkeypatch):
+def test_size_guard_refuses_before_the_kernel(kernel_calls):
     # class (2**62, 1, 0): lambda is just above 2, so the estimate gives up
     # and the first point, t = 2, would need a 2**62-bit integer
     f = dilatation_poly((2**62, 1, 0))
-    points = _near_points_only(monkeypatch, f.degree(), 0)
+    _near_points_only(kernel_calls, f.degree(), 0)
     with pytest.raises(PrecisionError, match="ceiling"):
         unique_root_gt1(f)
-    assert points == []
+    assert kernel_calls == []
