@@ -311,15 +311,17 @@ def _estimate_root(exps, coeffs):
     constant term merged into the last of them.  Both parts are positive
     for u > 0 and computed without cancellation, and psi is nearly concave
     and increasing, so Newton steps kept inside a bracket by bisection
-    converge in a few steps.  They start at the small-u balance
-    ln(d1*u) - d1*u/2 + d0*u = ln Y(0), ln X to second order with Y scaled by
-    exp(d0*u) and frozen at u = 0, whose solution is the Lambert-W point
-    u0 = W(c*Y(0)/d1)/c, c = d0 - d1/2, where Y(0) = -f(1) > 0.  Most
-    family members take three evaluations of psi: over g = 2..6 and
-    m = 2..2000 the mean is 3.1 and the most 5, and 500 sampled cone
-    classes take 4.9 on average.  psi(ln 2) is evaluated only when an iterate, or the final
-    error interval, reaches ln 2; below it, psi's sign at a smaller point
-    settles psi(ln 2) > 0.  None when the root is not below 2
+    converge in a few steps.  With d0 the degree minus Y's highest
+    exponent, they start at the Lambert-W point u0 = W(c*Y(0)/d1)/c,
+    c = d0 - d1/2, which solves the small-u balance
+    ln(d1*u) - d1*u/2 + d0*u = ln Y(0): ln X to second order, and Y, scaled
+    by exp(d0*u), frozen at u = 0, where it is -f(1) > 0 since X(0) = 0.
+    Over the family for g = 2..6 and m = 2..2000 that takes 3.1
+    evaluations of psi on average and 5 at most; 500 sampled cone classes
+    take 4.9.  psi(ln 2) is evaluated only when an iterate (the start
+    included) or the final error interval reaches ln 2: psi increases, so
+    psi >= 0 at a smaller point, or a root found below ln 2, already
+    implies psi(ln 2) > 0.  None when the root is not below 2
     (psi(ln 2) <= 0) or Newton does not settle.
     """
     deg = exps[0]
