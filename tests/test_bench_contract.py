@@ -67,11 +67,9 @@ SHORT_WORKLOADS = {
 def test_traced_workload_isolates_a_root(workload):
     # Lift this check once measure_layers guards a workload with no
     # isolation (ROADMAP item 1).
-    args = SHORT_WORKLOADS[workload]
-    tol = Fraction(args[args.index("--tol") + 1]) if "--tol" in args else Fraction(1, 10**12)
-    t = tracer.Tracer("magicfiber", tol)
+    t = tracer.Tracer("magicfiber", Fraction(1, 10**12))
     with t.installed(), redirect_stdout(io.StringIO()):
-        code = magicfiber.cli.main(args + ["--jobs", "1", "--format", "json"])
+        code = magicfiber.cli.main(SHORT_WORKLOADS[workload] + ["--jobs", "1", "--format", "json"])
     assert code == 0
     assert t.counts()["roots.isolations"] >= 1, (
         f"{workload} isolates no root: perfbench/run.py measure_layers divides "
