@@ -293,9 +293,10 @@ def _start_cell(exps, coeffs, max_level: int):
 
 
 def _lambert_w(z: float) -> float:
-    """W(z) for z > 0, within about 1e-4 relative: Winitzki's closed form
-    (ICCSA 2003), then one Newton step on w + ln w = ln z, the log form of
-    w*exp(w) = z (Corless et al., Adv. Comput. Math. 1996)."""
+    """W(z) for z > 0, within 1.1e-4 relative on 1e-8 <= z <= 1e16:
+    Winitzki's closed form (ICCSA 2003), then one Newton step on
+    w + ln w = ln z, the log form of w*exp(w) = z (Corless et al., Adv.
+    Comput. Math. 1996)."""
     v = math.log1p(z)
     w = v * (1 - math.log1p(v) / (2 + v))
     return w - (w + math.log(w) - math.log(z)) * w / (1 + w)

@@ -300,6 +300,13 @@ class TestWrongGuess:
             unique_root_gt1(family_poly(2, 10), Fraction(1, 2**300), max_bits=128)
 
 
+def test_lambert_w_start_is_within_its_stated_error():
+    mpmath = pytest.importorskip("mpmath")
+    for k in range(-400, 801):
+        z = 10 ** (k / 50)
+        assert abs(roots._lambert_w(z) / float(mpmath.lambertw(z).real) - 1) < 1.2e-4, z
+
+
 ESTIMATE_SAMPLE = {
     "family": [family_poly(g, m) for g in range(2, 7) for m in (2, 3, 10, 100, 1000, 2000)],
     "family_large_m": [family_poly(2, 10**4), family_poly(2, 10**6)],
