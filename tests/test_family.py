@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from magicfiber import family
+from magicfiber import family, roots
 from magicfiber import (
     NotPrimitiveError,
     condition_star,
@@ -281,3 +281,16 @@ class TestUpperBoundTable:
         seq = upper_bound_table(3, 3, 30, jobs=1)
         par = upper_bound_table(3, 3, 30, jobs=4)
         assert seq == par
+
+
+@pytest.mark.parametrize(
+    "g, calls", [(2, 25792), (3, 25728), (4, 25656), (5, 25600), (6, 25604)]
+)
+def test_bound_table_work_is_pinned(g, calls, kernel_calls):
+    # The kernel calls of the benchmark's bound table, all at the start
+    # precision: a start cell one level off, or a refuted one, shows here
+    # as a changed count.
+    upper_bound_table(g, 3, 500, Fraction("1e-30"))
+    assert len(kernel_calls) == calls
+    off = [c for c in kernel_calls if c[2] != max(roots.DEFAULT_BITS, c[1] + 64)]
+    assert off == []

@@ -55,6 +55,11 @@ class TestEvaluateCertified:
         assert evaluate_certified(QUAD, root.lo, bits=64).sign is None
         assert evaluate_certified(QUAD, root.lo, bits=256).sign == -1
 
+    def test_zero_polynomial(self):
+        enc = evaluate_certified(make_poly([]), 3)
+        assert enc == roots.Enclosure(Fraction(0), Fraction(0))
+        assert enc.sign == 0
+
     def test_nonpositive_point_rejected(self):
         with pytest.raises(ValueError):
             evaluate_certified(QUAD, 0)
@@ -314,6 +319,8 @@ ESTIMATE_SAMPLE = {
     "lambda_at_least_2": [
         dilatation_poly(c) for c in [(1, 1, 0), (2, 1, 0), (1, 2, 0), (2, 2, 1), (3, 1, 0)]
     ],
+    # lambda = 1.618, a root below 2 whose Lambert-W start lies past ln 2
+    "near_2": [dilatation_poly((92, 1, -1))],
 }
 
 
@@ -321,11 +328,15 @@ ESTIMATE_SAMPLE = {
 def test_estimate_contract(sample):
     # against a certified bracket at tol 2**-80, in exact Fractions: lambda - 1
     # lies within err of x, err is below 2**-40 * x, and the estimate gives
-    # up exactly when lambda >= 2
+    # up exactly when lambda >= 2; no start cell is guessed exactly then
     bad = []
     for f in ESTIMATE_SAMPLE[sample]:
         root = unique_root_gt1(f, Fraction(1, 2**80))
         assert not root.lo < 2 < root.hi
+        for tol in (Fraction(1, 10**12), Fraction(1, 10**30)):
+            cell = roots._start_cell(f.exponents(), f.coefficients(), roots._grid_level(tol))
+            if (root.lo > 2) != (cell is None):
+                bad.append((str(f), tol, cell, float(root.lo)))
         est = roots._estimate_root(f.exponents(), f.coefficients())
         if root.lo > 2 or est is None:
             if (root.lo > 2) != (est is None):
