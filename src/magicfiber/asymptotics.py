@@ -162,7 +162,7 @@ def bracket_check(
     if not 1 <= m_lo <= m_hi:
         raise ValueError("need 1 <= m_lo <= m_hi")
     ms = range(m_lo, m_hi + 1)
-    oks = pmap(_bracket_ok, [(fam, m, c1, c2) for m in ms], jobs)
+    oks = pmap(_bracket_ok, ((fam, m, c1, c2) for m in ms), jobs)
     failures = tuple(m for m, ok in zip(ms, oks) if not ok)
     return BracketReport(c_lower=c1, c_upper=c2, m_lo=m_lo, m_hi=m_hi, failures=failures)
 
@@ -224,7 +224,7 @@ def ratio_table(
         if n > sys.float_info.max:  # _ratio_bounds takes float(n)
             raise PrecisionError(f"q*m+v exceeds the float range (at m={m})")
     tol = _as_tol(tol)
-    rows = pmap(_ratio_row, [(fam, m, q, v, tol) for m in ms], jobs)
+    rows = pmap(_ratio_row, ((fam, m, q, v, tol) for m in ms), jobs)
     decreasing = all(
         rows[i + 1].ratio_hi < rows[i].ratio_lo for i in range(len(rows) - 1)
     )

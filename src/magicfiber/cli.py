@@ -14,9 +14,9 @@ A run builds one record: the subcommand's ``cmd_*`` computes it and returns
 it with its outcome, and ``main`` writes it once, to stdout in plain, csv, or
 json form (``--format``), then maps the outcome to the exit code.  stderr
 carries diagnostics only.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 a guard's refusal (precision ceiling, float range),
-141 (128 + SIGPIPE) when the reader closes stdout before the record is
-written.  A ``class`` with no fiber data (zero, out of the cone, or not
+2 usage error, 3 a guard's refusal (precision ceiling, float range, sweep
+size), 141 (128 + SIGPIPE) when the reader closes stdout before the record
+is written.  A ``class`` with no fiber data (zero, out of the cone, or not
 primitive) writes its partial record to stdout, then its ``error:`` line to
 stderr, and exits 2; the other usage and precision errors write no record.
 Numeric approximations are always accompanied by their exact bracket

@@ -269,4 +269,4 @@ def upper_bound_table(
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     tol = _as_tol(tol)
-    return pmap(bound_row, [(g, n, tol) for n in range(n_min, n_max + 1)], jobs)
+    return pmap(bound_row, ((g, n, tol) for n in range(n_min, n_max + 1)), jobs)

@@ -22,16 +22,18 @@ deepest level that its error bound fits in, at most the stopping level.
 That level may lie below the tol level when lambda - 1 < 2*tol, since
 bisection from (0, 0) goes on until its cell's lower end leaves 1.  If the
 certified signs f(lo) < 0 < f(hi) confirm the cell, bisection starts
-there, and f(b) is never evaluated: hi <= 2 proves b = 2.  An estimate that
-allows lambda >= 2, or a cell the signs refute, starts from the doubling
-search for b and the cell (0, 0).  The estimate only chooses the start;
-every accepted step is backed by a certified sign.
+there, and f(b) is never evaluated: hi <= 2 proves b = 2.  No cell is
+predicted when the estimate allows lambda >= 2; that, or a cell the signs
+refute, starts from the doubling search for b and the cell (0, 0).  The
+estimate only chooses the start; every accepted step is backed by a
+certified sign.
 
 Signs come from fixed-point interval arithmetic on exact integers: the point
 t is an exact dyadic rational, f(t) is enclosed by one Horner pass whose
 factors t**gap (gaps between neighbouring exponents) come from binary
 powering, all with outward rounding at a fractional precision that starts at
-``DEFAULT_BITS``, and a sign is certified only when the resulting enclosure
+max(``DEFAULT_BITS``, k + 64) for t = num/2**k, so t itself is exact in any
+form (num, k), and a sign is certified only when the resulting enclosure
 excludes zero.  When it does not (cancellation near t = 1 grows with the
 degree), the precision is doubled up to a ceiling, after which
 ``PrecisionError`` is raised.  The same ceiling bounds the size of t**deg:
@@ -89,13 +91,6 @@ def as_dyadic(t) -> tuple[int, int]:
     raise TypeError(f"expected a dyadic rational, got {type(t).__name__}")
 
 
-def _reduced(num: int, k: int) -> tuple[int, int]:
-    while k > 0 and not (num & 1):
-        num >>= 1
-        k -= 1
-    return (num, k)
-
-
 class Enclosure(NamedTuple):
     """An interval certified to contain the exact value."""
 
@@ -139,8 +134,6 @@ def evaluate_certified(f: SparsePoly, t, bits: int = DEFAULT_BITS) -> Enclosure:
         raise ValueError("evaluation point must be positive")
     if bits < 1:
         raise ValueError("bits must be positive")
-    if f.is_zero:
-        return Enclosure(Fraction(0), Fraction(0))
     lo, hi = eval_enclosure(f.exponents(), f.coefficients(), num, k, bits)
     return Enclosure(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
@@ -230,8 +223,8 @@ def unique_root_gt1(
         try:
             # The lower end 1 needs no evaluation: f(1) < 0 is checked above.
             if not (
-                (i == 0 or sign_at(*_reduced((1 << j) + i, j)) < 0)
-                and sign_at(*_reduced((1 << j) + i + 1, j)) > 0
+                (i == 0 or sign_at((1 << j) + i, j) < 0)
+                and sign_at((1 << j) + i + 1, j) > 0
             ):
                 cell = None
         except PrecisionError:
@@ -244,8 +237,7 @@ def unique_root_gt1(
         cell = (0, 0)
     i, j = cell
     while j < stop or i == 0:
-        # The midpoint 1 + (2i+1)*w/2**(j+1); w is odd, so its numerator is
-        # odd and (num, j+1) is already in lowest terms.
+        # The midpoint 1 + (2i+1)*w/2**(j+1), as (num, j+1).
         j += 1
         i = 2 * i + (sign_at((1 << j) + (2 * i + 1) * w, j) < 0)
     lo = Fraction((1 << j) + i * w, 1 << j)
@@ -272,8 +264,10 @@ def _start_cell(exps, coeffs, max_level: int):
     estimate still puts lambda - 1 below 2**-(level - 1): bisection from
     (0, 0) keeps index 0, and so goes on, down to that level.  So the start
     cell may lie below the tol level.  None when the estimate allows a
-    root >= 2, or when an exponent or coefficient is beyond the float range:
-    the estimate is only a guess, and the path from (0, 0) needs none.
+    root >= 2 (x + err >= 1), the one place where such a guess is refused,
+    when there is no estimate, or when an exponent or coefficient is beyond
+    the float range: the estimate is only a guess, and the path from (0, 0)
+    needs none.
     """
     try:
         est = _estimate_root(exps, coeffs)
@@ -312,18 +306,17 @@ def _estimate_root(exps, coeffs):
     constant term merged into the last of them.  Both parts are positive
     for u > 0 and computed without cancellation, and psi is nearly concave
     and increasing, so Newton steps kept inside a bracket by bisection
-    converge in a few steps.  With d0 the degree minus Y's highest
-    exponent, they start at the Lambert-W point u0 = W(c*Y(0)/d1)/c,
-    c = d0 - d1/2, which solves the small-u balance
-    ln(d1*u) - d1*u/2 + d0*u = ln Y(0): ln X to second order, and Y, scaled
-    by exp(d0*u), frozen at u = 0, where it is -f(1) > 0 since X(0) = 0.
-    Over the family for g = 2..6 and m = 2..2000 that takes 3.1
-    evaluations of psi on average and 5 at most; 500 sampled cone classes
-    take 4.9.  psi(ln 2) is evaluated only when an iterate (the start
-    included) or the final error interval reaches ln 2: psi increases, so
-    psi >= 0 at a smaller point, or a root found below ln 2, already
-    implies psi(ln 2) > 0.  None when the root is not below 2
-    (psi(ln 2) <= 0) or Newton does not settle.
+    converge in a few steps.  The bracket starts as (0, inf), so roots
+    >= 2 are estimated too; ``_start_cell`` refuses them.  A step that
+    leaves the bracket is replaced by its geometric midpoint, an open upper
+    end counted as 256 times the lower one, so psi is evaluated only at
+    finite u > 0.  With d0 the degree minus Y's highest exponent, the steps
+    start at the Lambert-W point u0 = W(c*Y(0)/d1)/c, c = d0 - d1/2, which
+    solves the small-u balance ln(d1*u) - d1*u/2 + d0*u = ln Y(0): ln X to
+    second order, and Y, scaled by exp(d0*u), frozen at u = 0, where it is
+    -f(1) > 0 since X(0) = 0.  Over the family for g = 2..6 and
+    m = 2..2000 that takes 3.1 evaluations of psi on average and 5 at most;
+    500 sampled cone classes take 4.9.  None when Newton does not settle.
     """
     deg = exps[0]
     d1 = deg - exps[1]
@@ -353,22 +346,17 @@ def _estimate_root(exps, coeffs):
         lx, ly = math.log(x), math.log(y)
         return lx + d0 * u - ly, xp / x + d0 - yp / y, abs(lx) + d0 * u + abs(ly)
 
-    a, b = 0.0, math.log(2)
-    capped = True  # b is ln 2, and psi(ln 2) > 0 is not yet known
+    a, b = 0.0, math.inf
     c = d0 - d1 / 2
     u = _lambert_w(c * -sum(coeffs) / d1) / c
     for _ in range(100):
         if not a < u < b:
-            if capped and u >= b:
-                if not psi(b)[0] > 0:
-                    return None
-                capped = False
-            u = math.sqrt(a * b) if a > 0 else b / 16
+            u = math.sqrt(a * min(b, 256 * a)) if a > 0 else min(b, 1.0) / 16
         h, hp, size = psi(u)
         if h < 0:
             a = u
         else:
-            b, capped = u, False
+            b = u
         if hp > 0:
             step = h / hp
             # the rounding error of psi, divided by the slope
@@ -376,8 +364,6 @@ def _estimate_root(exps, coeffs):
             u -= step
             if abs(step) <= max(noise, 2.0**-50 * u):
                 err_u = 4 * (noise + abs(step))
-                if capped and u + err_u >= b and not psi(b)[0] > 0:
-                    return None
                 x = math.expm1(u)
                 return x, math.exp(u) * err_u + 2.0**-52 * x
     return None

@@ -311,6 +311,9 @@ def _limit_address_space():
         (["asymp", "ratio", "-g", "2", "-q", "1e400", "-v", "0", "--points", "10"], 3),
         # the bracket's endpoints have about 5,000 decimal digits
         (["class", "1", "1", "0", "--tol", "1e-1500"], 0),
+        # sweeps past the pool's task cap are refused before a task list exists
+        (["bounds", "-g", "2", "-n", "3..100000000"], 3),
+        (["asymp", "bracket", "--m-range", "2..100000000"], 3),
     ],
 )
 def test_extreme_inputs_finish_in_bounded_memory(argv, code):

@@ -4,7 +4,7 @@ import concurrent.futures
 
 import pytest
 
-from magicfiber import _pool
+from magicfiber import PrecisionError, _pool
 
 
 def _pair(a, b):
@@ -50,3 +50,18 @@ def test_worker_count_is_capped(monkeypatch):
     assert _pool.pmap(_pair, tasks[:1], 10**6) == tasks[:1]
     assert _FakeExecutor.seen == [3, 2]
 
+
+def test_task_cap_reads_no_further(monkeypatch):
+    monkeypatch.setattr(_pool, "MAX_TASKS", 5)
+    read = []
+
+    def tasks(n):
+        for i in range(n):
+            read.append(i)
+            yield (i, -i)
+
+    assert _pool.pmap(_pair, tasks(5), 1) == [(i, -i) for i in range(5)]
+    read.clear()
+    with pytest.raises(PrecisionError, match="more than 5 tasks"):
+        _pool.pmap(_pair, tasks(10**9), 1)
+    assert read == list(range(6))

@@ -1,5 +1,6 @@
 """Tests for certified evaluation and root isolation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,19 @@ class TestWrongGuess:
         monkeypatch.setattr(roots, "_estimate_root", lambda exps, coeffs: (1.5, 1e-15))
         assert [bracket(f, Fraction(1, 10**12)) for f in self.POLYS] == expected
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -1.0, 0.0, 1e300])
+    def test_newton_start_out_of_range(self, monkeypatch, w):
+        # a start that is no finite u > 0, or lies far above the root, falls
+        # back to the safeguard while the bracket has no end or no upper end
+        want = [roots._estimate_root(f.exponents(), f.coefficients()) for f in self.POLYS]
+        monkeypatch.setattr(roots, "_lambert_w", lambda z: w)
+        for f, (x, err) in zip(self.POLYS, want):
+            got = roots._estimate_root(f.exponents(), f.coefficients())
+            assert got is not None and abs(got[0] - x) <= err + got[1]
+        assert [bracket(f, Fraction(1, 10**30)) for f in self.POLYS] == [
+            reference_bracket(f, Fraction(1, 10**30)) for f in self.POLYS
+        ]
+
     def test_precision_ceiling_still_raises(self):
         with pytest.raises(PrecisionError):
             unique_root_gt1(family_poly(2, 10), Fraction(1, 2**300), max_bits=128)
@@ -326,9 +340,10 @@ ESTIMATE_SAMPLE = {
 
 @pytest.mark.parametrize("sample", sorted(ESTIMATE_SAMPLE))
 def test_estimate_contract(sample):
-    # against a certified bracket at tol 2**-80, in exact Fractions: lambda - 1
-    # lies within err of x, err is below 2**-40 * x, and the estimate gives
-    # up exactly when lambda >= 2; no start cell is guessed exactly then
+    # against a certified bracket at tol 2**-80, in exact Fractions: every
+    # root below 2 has an estimate, every estimate puts lambda - 1 within err
+    # of x, with err below 2**-40 * x, and no start cell is guessed exactly
+    # when lambda >= 2
     bad = []
     for f in ESTIMATE_SAMPLE[sample]:
         root = unique_root_gt1(f, Fraction(1, 2**80))
@@ -338,8 +353,8 @@ def test_estimate_contract(sample):
             if (root.lo > 2) != (cell is None):
                 bad.append((str(f), tol, cell, float(root.lo)))
         est = roots._estimate_root(f.exponents(), f.coefficients())
-        if root.lo > 2 or est is None:
-            if (root.lo > 2) != (est is None):
+        if est is None:
+            if root.hi < 2:
                 bad.append((str(f), est, float(root.lo)))
             continue
         x, err = map(Fraction, est)
@@ -397,8 +412,8 @@ def test_no_sign_escalates(kernel_calls, isolate):
 
 
 def test_size_guard_refuses_before_the_kernel(kernel_calls):
-    # class (2**62, 1, 0): lambda is just above 2, so the estimate gives up
-    # and the first point, t = 2, would need a 2**62-bit integer
+    # class (2**62, 1, 0): lambda is just above 2, so no start cell is
+    # guessed, and the first point, t = 2, would need a 2**62-bit integer
     f = dilatation_poly((2**62, 1, 0))
     _near_points_only(kernel_calls, f.degree(), 0)
     with pytest.raises(PrecisionError, match="ceiling"):
