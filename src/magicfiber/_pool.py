@@ -13,6 +13,12 @@ from .roots import PrecisionError
 MAX_TASKS = 100_000
 
 
+def check_tasks(n: int) -> None:
+    """Raise ``PrecisionError`` for a sweep of more than ``MAX_TASKS`` tasks."""
+    if n > MAX_TASKS:
+        raise PrecisionError(f"a sweep of more than {MAX_TASKS} tasks exceeds the memory bound")
+
+
 def pmap(fn, tasks, jobs: int) -> list:
     """``[fn(*t) for t in tasks]``, in order, on up to ``jobs`` worker processes.
 
@@ -25,8 +31,7 @@ def pmap(fn, tasks, jobs: int) -> list:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = list(islice(tasks, MAX_TASKS + 1))
-    if len(tasks) > MAX_TASKS:
-        raise PrecisionError(f"a sweep of more than {MAX_TASKS} tasks exceeds the memory bound")
+    check_tasks(len(tasks))
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(*t) for t in tasks]

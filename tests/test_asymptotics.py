@@ -1,9 +1,14 @@
 """Tests for the asymptotic sweeps over the family m -> family_poly(g, m)."""
 
+import functools
 import hashlib
+import io
+import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from magicfiber import (
     asymptotics,
@@ -14,7 +19,15 @@ from magicfiber import (
     roots,
     unique_root_gt1,
 )
-from magicfiber.asymptotics import _cmp_root_to_power, _dyadic_pow_cmp
+from magicfiber._pool import MAX_TASKS
+from magicfiber.asymptotics import (
+    _block_ok,
+    _bracket_ok,
+    _cmp_root_to_power,
+    _dyadic_pow_cmp,
+    _side,
+)
+from magicfiber.cli import main
 from magicfiber.roots import DEFAULT_MAX_BITS, PrecisionError
 
 # Frozen regression cells for the g=2 family, (q, v) = (2, 4), tol 1e-12;
@@ -155,11 +168,16 @@ def test_frozen_verdicts(g, c1, c2):
     assert got == FROZEN_FAILURES[g, c1, c2]
 
 
+# Isolations of bracket_check(b_family(g), "0.9", "1.1", 2, 2000): m = 2
+# and the ends of the blocks that the halving visits, each isolated once.
+BRACKET_ISOLATIONS = {2: 18, 3: 15, 4: 14, 5: 13, 6: 12}
+
+
 @pytest.mark.parametrize("g", range(2, 7))
 def test_bracket_work_is_pinned(g, kernel_calls, monkeypatch):
-    # One isolation per m, each certified by the two ends of its start cell
-    # at the start precision, and every verdict settled by float logs: a
-    # faster estimate must not be bought with refuted start cells.
+    # Each root certified by the two ends of its start cell at the start
+    # precision, and every comparison settled by float logs: a faster
+    # estimate must not be bought with refuted start cells.
     isolations = []
     isolate = asymptotics.unique_root_gt1
 
@@ -173,10 +191,160 @@ def test_bracket_work_is_pinned(g, kernel_calls, monkeypatch):
     monkeypatch.setattr(asymptotics, "unique_root_gt1", counted)
     monkeypatch.setattr(asymptotics, "_certified_sign", refused)
     bracket_check(b_family(g), "0.9", "1.1", 2, 2000)
-    assert len(isolations) == 1999
-    assert len(kernel_calls) == 3998
+    assert len(isolations) == BRACKET_ISOLATIONS[g]
+    assert len({f for f, in isolations}) == len(isolations)
+    assert len(kernel_calls) == 2 * BRACKET_ISOLATIONS[g]
     off = [c for c in kernel_calls if c[2] != max(roots.DEFAULT_BITS, c[1] + 64)]
     assert off == []
+
+
+def per_m_failures(fam, c1, c2, m_lo, m_hi):
+    """The oracle: every lambda_m isolated and tested on its own."""
+    c1, c2 = Fraction(c1), Fraction(c2)
+    failures = []
+    for m in range(m_lo, m_hi + 1):
+        f = fam(m)
+        if not _bracket_ok(f, unique_root_gt1(f), m, c1, c2):
+            failures.append(m)
+    return tuple(failures)
+
+
+@st.composite
+def sweeps(draw):
+    m_lo = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 600)))
+    m_hi = draw(st.integers(m_lo, 600))
+    c1 = draw(st.fractions(0, 1, max_denominator=12).filter(lambda c: 0 < c < 1))
+    c2 = draw(st.fractions(1, 3, max_denominator=12).filter(lambda c: c > 1))
+    return draw(st.integers(0, 8)), c1, c2, m_lo, m_hi
+
+
+@seed(27)
+@settings(max_examples=50, deadline=None, database=None)
+@given(sweeps())
+def test_blocks_agree_with_the_per_m_test(sweep):
+    g, c1, c2, m_lo, m_hi = sweep
+    rep = bracket_check(b_family(g), c1, c2, m_lo, m_hi)
+    assert rep.failures == per_m_failures(b_family(g), c1, c2, m_lo, m_hi)
+
+
+def test_blocks_start_at_three(monkeypatch):
+    # 2^(c1/2) < lambda_3 < 3^(c1/3): the lower side fails at m = 3, yet the
+    # ends of [2, 3] would read every m as holding, since m^(c/m) rises
+    # from 2 to 3.  So no block may start below 3.
+    fam, c1, c2 = b_family(2), Fraction(5, 8), Fraction(2)
+    r2, r3 = (unique_root_gt1(fam(m)) for m in (2, 3))
+    assert _side(r3, 2, c1) > 0 > _side(r3, 3, c1)
+    assert _side(r2, 3, c2) < 0
+    starts = []
+    block_ok = asymptotics._block_ok
+
+    def recorded(root_a, root_b, a, *args):
+        starts.append(a)
+        return block_ok(root_a, root_b, a, *args)
+
+    monkeypatch.setattr(asymptotics, "_block_ok", recorded)
+    for m_hi in (3, 5, 6, 9, 12, 40):
+        assert bracket_check(fam, c1, c2, 1, m_hi).failures == per_m_failures(fam, c1, c2, 1, m_hi)
+    assert starts and min(starts) == 3
+
+
+def _around(x: float) -> roots.CertifiedRoot:
+    """A made-up bracket of width 2**-39 around x, for the block rule alone."""
+    eps = Fraction(1, 2**40)
+    return roots.CertifiedRoot(Fraction(x) - eps, Fraction(x) + eps, Fraction(x), eps)
+
+
+# (lambda_a, lambda_b, verdict) on the block [3, 9] at (c1, c2) = (1/2, 2):
+# 3^(1/6) = 1.2009, 9^(1/18) = 1.1298, 3^(2/3) = 2.0801, 9^(2/9) = 1.6297.
+BLOCK_CASES = [
+    (1.10, 1.05, False),  # lambda_a below 9^(1/18): the lower side fails
+    (1.50, 1.25, True),  # lambda_b above 3^(1/6), lambda_a below 9^(2/9)
+    (2.50, 2.20, False),  # lambda_b above 3^(2/3): the upper side fails
+    (1.15, 1.12, None),  # lambda_a above 9^(1/18), lambda_b below 3^(1/6)
+    (1.50, 1.15, None),  # lambda_b above 9^(1/18) only
+    (1.80, 1.30, None),  # lambda_a below 3^(2/3) only
+    (2.00, 1.70, None),  # lambda_b above 9^(2/9) only
+]
+
+
+@pytest.mark.parametrize("lam_a, lam_b, verdict", BLOCK_CASES)
+def test_block_rule_compares_across_the_block(lam_a, lam_b, verdict):
+    c1, c2 = Fraction(1, 2), Fraction(2)
+    assert _block_ok(_around(lam_a), _around(lam_b), 3, 9, c1, c2) is verdict
+
+
+def test_block_comparison_that_raises_leaves_the_block_open(monkeypatch):
+    def raising(*args):
+        raise PrecisionError("too close to call")
+
+    monkeypatch.setattr(asymptotics, "_dyadic_pow_cmp", raising)
+    assert _block_ok(_around(1.1), _around(1.05), 3, 9, Fraction(1, 2), Fraction(2)) is None
+
+
+def test_near_tie_inside_a_block_still_raises():
+    # c1 agrees with 7 ln(lambda_7) / ln 7 to 12 digits: only m = 7 is a near
+    # tie, and no block holding it can be settled, so the per-m test meets it
+    lam = unique_root_gt1(family_poly(2, 7)).value
+    c1 = Fraction(round(7 * math.log(lam) / math.log(7) * 10**12), 10**12)
+    with pytest.raises(PrecisionError):
+        bracket_check(b_family(2), c1, "2.0", 2, 100)
+    assert bracket_check(b_family(2), c1, "2.0", 8, 100).failures == per_m_failures(
+        b_family(2), c1, "2.0", 8, 100
+    )
+
+
+def test_only_the_b_family_is_taken():
+    for fam in (lambda m: family_poly(2, m), functools.partial(family_poly, g=2)):
+        with pytest.raises(ValueError, match="b_family"):
+            bracket_check(fam, "0.5", "2.0", 2, 10)
+
+
+def test_oversized_range_is_refused_before_any_work(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the sweep began")
+
+    monkeypatch.setattr(asymptotics, "pmap", refused)
+    with pytest.raises(PrecisionError, match="memory bound"):
+        bracket_check(b_family(2), "0.9", "1.1", 2, MAX_TASKS + 2)
+    with pytest.raises(AssertionError, match="the sweep began"):
+        bracket_check(b_family(2), "0.9", "1.1", 2, MAX_TASKS + 1)
+
+
+def test_multi_chunk_sweep_is_jobs_neutral(monkeypatch):
+    # More than one pmap task, at one chunking whatever --jobs is: the same
+    # tasks, so the same roots isolated, and the same bytes.
+    argv = ["asymp", "bracket", "-g", "6", "--c1", "0.5", "--c2", "2.0", "--m-range", "2..10000"]
+    tasks_at, isolations = {}, []
+    pmap, isolate = asymptotics.pmap, asymptotics.unique_root_gt1
+
+    def recorded(fn, tasks, jobs):
+        tasks_at[jobs] = tasks = list(tasks)
+        return pmap(fn, tasks, jobs)
+
+    def counted(*args, **kwargs):
+        isolations.append(args)
+        return isolate(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "pmap", recorded)
+    outs = {}
+    for jobs in (1, 2):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert main(argv + ["--jobs", str(jobs)]) == 0
+        outs[jobs] = buf.getvalue()
+    assert outs[1] == outs[2]
+    assert [t[1:] for t in tasks_at[1]] == [t[1:] for t in tasks_at[2]]
+    assert len(tasks_at[1]) == 5
+    monkeypatch.setattr(asymptotics, "unique_root_gt1", counted)
+    per_task = []
+    for task in tasks_at[2]:  # the work of each task, wherever it ran
+        before = len(isolations)
+        asymptotics._failures(*task)
+        per_task.append(len(isolations) - before)
+    isolations.clear()
+    with redirect_stdout(io.StringIO()):
+        assert main(argv + ["--jobs", "1"]) == 0
+    assert sum(per_task) == len(isolations)
 
 
 class TestRatioTable:
