@@ -7,12 +7,13 @@ that root is squeezed between m^(c1/m) and m^(c2/m) for any
 0 < c1 < 1 < c2 once m is large.  The tools below verify such statements
 over finite sweeps and report the empirical threshold; they never claim the
 limit itself.  ``bracket_check`` settles whole blocks of m at once from the
-roots at their ends, since lambda_m and m^(c/m) both decrease in m.
+roots at their ends, since lambda_m and m^(c/m) both decrease in m; a
+single m is the block [m, m].
 
 Comparisons against m^(c/m) are exact: for c = a/b the inequality
 lambda > m^(c/m) is equivalent to lambda^(b*m) > m^a, which is decided at
-the certified bracket endpoints (the per-m test refines the root bracket
-whenever the threshold falls inside it): by float logs when they differ by
+the certified bracket endpoints (a single m refines its root bracket while
+the threshold falls inside it): by float logs when they differ by
 far more than their rounding error, else by the certified sign of the
 two-term polynomial t^(b*m) - m^a at the endpoint, from the root finder's
 own sign routine and under its precision ceiling.
@@ -60,12 +61,6 @@ _RATIO_PAD = 1e-13
 # above their few-ulp error.
 _LOG_PAD = 1e-9
 
-# Values of m per bracket_check task.  A constant, so that neither the
-# blocks nor the roots isolated depend on --jobs; the standard sweep
-# m = 2..2000 is one task, run inline.
-_CHUNK = 2048
-
-
 Family = Callable[[int], SparsePoly]
 
 
@@ -105,6 +100,8 @@ def _dyadic_pow_cmp(x: Fraction, e: int, m: int, a: int) -> int:
 
 def _side(root: CertifiedRoot, m: int, c: Fraction) -> int:
     """Sign of lambda - m^(c/m) as the bracket ends show it; 0 if they cannot."""
+    if m == 1:
+        return 1  # the threshold is 1, below lambda
     a, e = c.numerator, c.denominator * m
     # lambda lies strictly inside (lo, hi), so a weak comparison at an
     # endpoint already decides strictly for lambda itself.
@@ -113,18 +110,6 @@ def _side(root: CertifiedRoot, m: int, c: Fraction) -> int:
     if _dyadic_pow_cmp(root.hi, e, m, a) <= 0:
         return -1
     return 0
-
-
-def _cmp_root_to_power(f: SparsePoly, root: CertifiedRoot, m: int, c: Fraction) -> int:
-    """Sign of lambda - m^(c/m) for the root of f, refining as needed."""
-    if m == 1:
-        return 1  # threshold is 1 and the root exceeds 1
-    for _ in range(64):
-        side = _side(root, m, c)
-        if side:
-            return side
-        root = unique_root_gt1(f, root.tol / 2)  # the child cell on the same grid
-    raise PrecisionError(f"could not separate the root from m^({c}/{m})")
 
 
 class BracketReport(NamedTuple):
@@ -154,18 +139,16 @@ class BracketReport(NamedTuple):
         return self.threshold is not None
 
 
-def _bracket_ok(f: SparsePoly, root: CertifiedRoot, m: int, c1: Fraction, c2: Fraction) -> bool:
-    return _cmp_root_to_power(f, root, m, c1) > 0 and _cmp_root_to_power(f, root, m, c2) < 0
-
-
 def _block_ok(
     root_a: CertifiedRoot, root_b: CertifiedRoot, a: int, b: int, c1: Fraction, c2: Fraction
 ) -> bool | None:
-    """The verdict of every m in [a, b] (3 <= a < b), or None if the ends leave it open.
+    """The verdict of every m in [a, b], or None if the ends leave it open.
 
-    Only the given brackets of lambda_a and lambda_b are compared, without
-    refinement; a comparison they cannot settle, or one that raises
-    PrecisionError, leaves the block open.
+    A block of two or more values has 3 <= a; a single m is the block
+    [m, m], with root_a = root_b.  Only the given brackets of lambda_a and
+    lambda_b are compared, without refinement.  A comparison that they
+    cannot settle leaves the block open, and so does one that raises
+    PrecisionError, except at a single m, where the error propagates.
     """
     try:
         if _side(root_a, b, c1) < 0:  # lambda_m <= lambda_a < b^(c1/b) <= m^(c1/m)
@@ -176,49 +159,48 @@ def _block_ok(
             if _side(root_a, b, c2) < 0:
                 return True
     except PrecisionError:
-        pass
+        if a == b:
+            raise
     return None
 
 
 def _failures(fam: Family, m_lo: int, m_hi: int, c1: Fraction, c2: Fraction) -> list[int]:
-    """The m in [m_lo, m_hi] where the bracket fails, by the blocks of bracket_check."""
-    isolated: dict[int, tuple[SparsePoly, CertifiedRoot]] = {}
+    """The m in [m_lo, m_hi] where the bracket fails, block by block."""
+    isolated: dict[int, CertifiedRoot] = {}
 
-    def root(m: int) -> tuple[SparsePoly, CertifiedRoot]:
+    def root(m: int) -> CertifiedRoot:
         if m not in isolated:
-            f = fam(m)
-            isolated[m] = f, unique_root_gt1(f)
+            isolated[m] = unique_root_gt1(fam(m))
         return isolated[m]
 
     failures = []
     nxt = m_lo  # the least m without a verdict
-    # A stack of [a, b], the leftmost on top; halves share their midpoint.
-    # Blocks start at 3, since m^(c/m) rises from 2 to 3.
-    blocks = []
-    if m_hi >= 3:
-        blocks.append((max(m_lo, 3), m_hi))
-    if m_lo <= 2:
-        blocks.append((m_lo, min(m_hi, 2)))
+    # A stack of blocks [a, b], the leftmost on top.  Each m <= 2 is a block
+    # of its own, since m^(c/m) rises from 1 to 3; one block holds m >= 3.
+    blocks = [(max(m_lo, 3), m_hi)] if m_hi >= 3 else []
+    blocks += [(m, m) for m in range(min(m_hi, 2), m_lo - 1, -1)]
     while blocks:
         a, b = blocks.pop()
-        if b - a >= 3:
-            ok = _block_ok(root(a)[1], root(b)[1], a, b, c1, c2)
-            if ok is None:
+        ok = _block_ok(root(a), root(b), a, b, c1, c2)
+        if ok is None:
+            if a < b:  # halves share the midpoint; [a, a + 1] splits into singletons
                 mid = (a + b) // 2
-                blocks += [(mid, b), (a, mid)]
-                continue
-            if not ok:
-                failures.extend(range(nxt, b + 1))
-        else:
-            failures.extend(m for m in range(nxt, b + 1) if not _bracket_ok(*root(m), m, c1, c2))
+                blocks += [(mid + (mid == a), b), (a, mid)]
+            elif isolated[a].tol > DEFAULT_TOL / 2**64:
+                # at most 64 halvings, each to the child cell on the same grid
+                isolated[a] = unique_root_gt1(fam(a), isolated[a].tol / 2)
+                blocks.append((a, a))
+            else:
+                raise PrecisionError(f"could not separate lambda_{a} from {a}^(c/{a})")
+            continue
+        if not ok:
+            failures.extend(range(nxt, b + 1))
         nxt = b + 1
     return failures
 
 
-def bracket_check(
-    fam: Family, c_lower, c_upper, m_lo: int, m_hi: int, jobs: int = 1
-) -> BracketReport:
-    """Certified per-m verdicts of the two-sided bracket over [m_lo, m_hi].
+def bracket_check(fam: Family, c_lower, c_upper, m_lo: int, m_hi: int) -> BracketReport:
+    """Certified verdicts of the two-sided bracket over [m_lo, m_hi].
 
     ``fam`` must be ``b_family(g)``; any other callable raises
     ``ValueError``.  The verdicts are decided block by block, from two
@@ -232,32 +214,31 @@ def bracket_check(
        nondecreasing; equal values at two points would make it constant
        from the first on, against lambda_m -> 1.
     2. T(m) = m^(c/m) = exp(c ln m / m) strictly decreases for m >= 3 at
-       every c > 0, since ln m / m decreases past e.  It rises from 2
+       every c > 0, since ln m / m decreases past e.  It rises from m = 1
        to 3.
 
-    So every m of a block [a, b] with 3 <= a < b has
+    So every m of a block [a, b] with 3 <= a <= b has
     lambda_b <= lambda_m <= lambda_a and T(b) <= T(m) <= T(a), and four
-    comparisons of the end roots, taken lower side first as the per-m
-    test takes them, can settle the whole block:
+    comparisons of the end roots, lower side first, can settle the whole
+    block:
 
     - lambda_a < b^(c1/b): the lower side fails for every m;
     - lambda_b > a^(c1/a): the lower side holds for every m; then
       lambda_b > a^(c2/a) makes the upper side fail for every m, and
       lambda_a < b^(c2/b) makes it hold for every m.
 
-    A block comparison uses the end brackets as isolated, at DEFAULT_TOL.
-    One that they cannot settle, or that raises PrecisionError, leaves the
-    block open, and an open block is halved, the halves sharing the
-    midpoint.  m <= 2 and blocks of at most 3 values of m take the per-m
-    test, which reuses any root already isolated and refines lambda_m only
-    while a threshold lies inside its bracket.  A near tie, lambda_m all
-    but equal to m^(c/m), leaves every block that holds m open, so it
-    reaches the per-m test and raises PrecisionError there.
+    Each m <= 2 is a block [m, m] of its own, and one block holds the rest
+    of the range.  A block comparison uses the end brackets as isolated,
+    at DEFAULT_TOL, each root once.  One that they cannot settle, or that
+    raises PrecisionError, leaves the block open, and an open block is
+    halved, the halves sharing the midpoint, down to single values of m.
+    At a single m, an open comparison halves the bracket of lambda_m, up
+    to 64 times, and a PrecisionError propagates.  A near tie, lambda_m
+    all but equal to m^(c/m), leaves every block that holds m open, so it
+    reaches the block [m, m] and raises PrecisionError there.
 
-    Each root is isolated once per chunk of ``_CHUNK`` values of m, one
-    ``pmap`` task each; the blocks, and the roots isolated, do not depend
-    on ``jobs``.  A range of more than ``MAX_TASKS`` values of m raises
-    PrecisionError before any work.
+    The sweep runs in this process.  A range of more than ``MAX_TASKS``
+    values of m raises PrecisionError before any work.
     """
     c1 = _as_fraction(c_lower)
     c2 = _as_fraction(c_upper)
@@ -273,11 +254,7 @@ def bracket_check(
     ):
         raise ValueError("bracket_check takes only a family b_family(g)")
     check_tasks(m_hi - m_lo + 1)
-    chunks = (
-        (fam, lo, min(lo + _CHUNK - 1, m_hi), c1, c2)
-        for lo in range(m_lo, m_hi + 1, _CHUNK)
-    )
-    failures = tuple(m for part in pmap(_failures, chunks, jobs) for m in part)
+    failures = tuple(_failures(fam, m_lo, m_hi, c1, c2))
     return BracketReport(c_lower=c1, c_upper=c2, m_lo=m_lo, m_hi=m_hi, failures=failures)
 
 

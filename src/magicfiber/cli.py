@@ -260,10 +260,12 @@ def cmd_class(args):
 
 
 def cmd_family(args):
+    from ._pool import check_tasks
     from .family import family_class, family_dilatation, family_fiber_data
 
     tol = _as_tol(args.tol)
     places = _value_places(tol)
+    check_tasks(args.p_max + 1)
     rows = []
     for p in range(args.p_max + 1):
         fc = family_class(args.genus, p)
@@ -304,8 +306,10 @@ def cmd_bounds(args):
 
 
 def cmd_star(args):
+    from ._pool import check_tasks
     from .family import condition_star
 
+    check_tasks(args.max - 1)
     rows = []
     for g in range(2, args.max + 1):
         holds, witness = condition_star(g)
@@ -318,7 +322,7 @@ def cmd_asymp_bracket(args):
 
     fam = b_family(args.genus)
     m_lo, m_hi = _parse_range(args.m_range)
-    report = bracket_check(fam, args.c1, args.c2, m_lo, m_hi, jobs=args.jobs)
+    report = bracket_check(fam, args.c1, args.c2, m_lo, m_hi)
     row = {
         "c_lower": str(report.c_lower),
         "c_upper": str(report.c_upper),

@@ -1,5 +1,6 @@
 """Tests for the asymptotic sweeps over the family m -> family_poly(g, m)."""
 
+import concurrent.futures
 import functools
 import hashlib
 import io
@@ -20,13 +21,7 @@ from magicfiber import (
     unique_root_gt1,
 )
 from magicfiber._pool import MAX_TASKS
-from magicfiber.asymptotics import (
-    _block_ok,
-    _bracket_ok,
-    _cmp_root_to_power,
-    _dyadic_pow_cmp,
-    _side,
-)
+from magicfiber.asymptotics import _block_ok, _dyadic_pow_cmp, _side
 from magicfiber.cli import main
 from magicfiber.roots import DEFAULT_MAX_BITS, PrecisionError
 
@@ -50,29 +45,35 @@ class TestInstantiate:
 
 
 class TestPowerComparison:
+    """A single m is the block [m, m], decided by the block rule."""
+
     def test_known_sides(self):
         # lambda(2,10) = 1.12819... vs 10^(0.9/10) = 1.23027 and 10^(0.05/10)
-        f = family_poly(2, 10)
-        root = unique_root_gt1(f)
-        assert _cmp_root_to_power(f, root, 10, Fraction(9, 10)) == -1
-        assert _cmp_root_to_power(f, root, 10, Fraction(1, 20)) == 1
+        root = unique_root_gt1(family_poly(2, 10))
+        assert _side(root, 10, Fraction(9, 10)) == -1
+        assert _side(root, 10, Fraction(1, 20)) == 1
+        assert _block_ok(root, root, 10, 10, Fraction(1, 20), Fraction(9, 10)) is True
+        assert _block_ok(root, root, 10, 10, Fraction(9, 10), Fraction(2)) is False
+        assert _block_ok(root, root, 10, 10, Fraction(1, 50), Fraction(1, 20)) is False
 
     def test_refines_through_coarse_bracket(self, monkeypatch):
         # a deliberately coarse bracket, (9/8, 5/4), holds 10^(3/50) = 1.148...
         # as well as lambda = 1.128..., which forces refinement, each step at
         # half the previous bracket's tol
         f = family_poly(2, 10)
-        root = unique_root_gt1(f, Fraction(1, 4))
-        assert root.lo**50 < 10**3 < root.hi**50
+        coarse = unique_root_gt1(f, Fraction(1, 4))
+        assert coarse.lo**50 < 10**3 < coarse.hi**50
+        assert _block_ok(coarse, coarse, 10, 10, Fraction(3, 5), Fraction(2)) is None
         tols = []
 
-        def isolate(f, tol):
+        def isolate(f, tol=Fraction(1, 4)):  # the sweep's first isolation is the coarse one
             tols.append(tol)
             return unique_root_gt1(f, tol)
 
         monkeypatch.setattr(asymptotics, "unique_root_gt1", isolate)
-        assert _cmp_root_to_power(f, root, 10, Fraction(3, 5)) == -1
-        assert tols and tols == [Fraction(1, 2 ** (3 + i)) for i in range(len(tols))]
+        assert bracket_check(b_family(2), Fraction(3, 5), 2, 10, 10).failures == (10,)
+        assert len(tols) > 1
+        assert tols == [Fraction(1, 2 ** (2 + i)) for i in range(len(tols))]
 
 
 def _iroot(n: int, e: int) -> int:
@@ -136,6 +137,10 @@ class TestBracketCheck:
         assert wide_thr <= narrow_thr
 
     def test_m_one_fails_upper(self):
+        # 1^(c/1) = 1 lies below lambda_1 at every c
+        root = unique_root_gt1(family_poly(2, 1))
+        assert _side(root, 1, Fraction(2)) == 1
+        assert _block_ok(root, root, 1, 1, Fraction(1, 2), Fraction(2)) is False
         rep = bracket_check(b_family(2), "0.5", "2.0", 1, 4)
         assert 1 in rep.failures
 
@@ -199,13 +204,30 @@ def test_bracket_work_is_pinned(g, kernel_calls, monkeypatch):
 
 
 def per_m_failures(fam, c1, c2, m_lo, m_hi):
-    """The oracle: every lambda_m isolated and tested on its own."""
+    """The oracle: each m on its own, from two signs of f_m and no root.
+
+    f_m has one root lambda_m above 1, with f_m < 0 on [1, lambda_m) and
+    f_m > 0 above it, so for x >= 1, lambda_m > x exactly when f_m(x) < 0.
+    The bracket holds at m iff f_m(m^(c1/m)) < 0 < f_m(m^(c2/m)).  mpmath
+    takes both values at 60 digits; at these sizes (terms below 10^20) that
+    errs by less than 10^-40, and each value must stand far clear of it.
+    """
+    mpmath = pytest.importorskip("mpmath")
     c1, c2 = Fraction(c1), Fraction(c2)
     failures = []
-    for m in range(m_lo, m_hi + 1):
-        f = fam(m)
-        if not _bracket_ok(f, unique_root_gt1(f), m, c1, c2):
-            failures.append(m)
+    with mpmath.workdps(60):
+        for m in range(m_lo, m_hi + 1):
+            terms = fam(m).terms
+            lower, upper = (
+                mpmath.fsum(k * x**e for e, k in terms)
+                for x in (
+                    mpmath.mpf(m) ** (mpmath.mpf(c.numerator) / (c.denominator * m))
+                    for c in (c1, c2)
+                )
+            )
+            assert min(abs(lower), abs(upper)) > mpmath.mpf(10) ** -20, m
+            if not lower < 0 < upper:
+                failures.append(m)
     return tuple(failures)
 
 
@@ -230,7 +252,7 @@ def test_blocks_agree_with_the_per_m_test(sweep):
 def test_blocks_start_at_three(monkeypatch):
     # 2^(c1/2) < lambda_3 < 3^(c1/3): the lower side fails at m = 3, yet the
     # ends of [2, 3] would read every m as holding, since m^(c/m) rises
-    # from 2 to 3.  So no block may start below 3.
+    # from 2 to 3.  So no block of two or more values may start below 3.
     fam, c1, c2 = b_family(2), Fraction(5, 8), Fraction(2)
     r2, r3 = (unique_root_gt1(fam(m)) for m in (2, 3))
     assert _side(r3, 2, c1) > 0 > _side(r3, 3, c1)
@@ -238,9 +260,10 @@ def test_blocks_start_at_three(monkeypatch):
     starts = []
     block_ok = asymptotics._block_ok
 
-    def recorded(root_a, root_b, a, *args):
-        starts.append(a)
-        return block_ok(root_a, root_b, a, *args)
+    def recorded(root_a, root_b, a, b, *args):
+        if a < b:
+            starts.append(a)
+        return block_ok(root_a, root_b, a, b, *args)
 
     monkeypatch.setattr(asymptotics, "_block_ok", recorded)
     for m_hi in (3, 5, 6, 9, 12, 40):
@@ -303,48 +326,39 @@ def test_oversized_range_is_refused_before_any_work(monkeypatch):
     def refused(*args):
         raise AssertionError("the sweep began")
 
-    monkeypatch.setattr(asymptotics, "pmap", refused)
+    monkeypatch.setattr(asymptotics, "unique_root_gt1", refused)
     with pytest.raises(PrecisionError, match="memory bound"):
         bracket_check(b_family(2), "0.9", "1.1", 2, MAX_TASKS + 2)
     with pytest.raises(AssertionError, match="the sweep began"):
         bracket_check(b_family(2), "0.9", "1.1", 2, MAX_TASKS + 1)
 
 
-def test_multi_chunk_sweep_is_jobs_neutral(monkeypatch):
-    # More than one pmap task, at one chunking whatever --jobs is: the same
-    # tasks, so the same roots isolated, and the same bytes.
+def test_long_sweep_runs_inline_at_any_jobs(monkeypatch):
+    # --jobs is accepted, but the sweep runs in this process: the same roots
+    # isolated and the same bytes at --jobs 1 and 2, and no pool
     argv = ["asymp", "bracket", "-g", "6", "--c1", "0.5", "--c2", "2.0", "--m-range", "2..10000"]
-    tasks_at, isolations = {}, []
-    pmap, isolate = asymptotics.pmap, asymptotics.unique_root_gt1
-
-    def recorded(fn, tasks, jobs):
-        tasks_at[jobs] = tasks = list(tasks)
-        return pmap(fn, tasks, jobs)
+    isolations = []
+    isolate = asymptotics.unique_root_gt1
 
     def counted(*args, **kwargs):
         isolations.append(args)
         return isolate(*args, **kwargs)
 
-    monkeypatch.setattr(asymptotics, "pmap", recorded)
-    outs = {}
+    def refused(*args, **kwargs):
+        raise AssertionError("a pool was used")
+
+    monkeypatch.setattr(asymptotics, "unique_root_gt1", counted)
+    monkeypatch.setattr(asymptotics, "pmap", refused)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+    outs, counts = {}, {}
     for jobs in (1, 2):
+        isolations.clear()
         buf = io.StringIO()
         with redirect_stdout(buf):
             assert main(argv + ["--jobs", str(jobs)]) == 0
-        outs[jobs] = buf.getvalue()
+        outs[jobs], counts[jobs] = buf.getvalue(), len(isolations)
     assert outs[1] == outs[2]
-    assert [t[1:] for t in tasks_at[1]] == [t[1:] for t in tasks_at[2]]
-    assert len(tasks_at[1]) == 5
-    monkeypatch.setattr(asymptotics, "unique_root_gt1", counted)
-    per_task = []
-    for task in tasks_at[2]:  # the work of each task, wherever it ran
-        before = len(isolations)
-        asymptotics._failures(*task)
-        per_task.append(len(isolations) - before)
-    isolations.clear()
-    with redirect_stdout(io.StringIO()):
-        assert main(argv + ["--jobs", "1"]) == 0
-    assert sum(per_task) == len(isolations)
+    assert counts[1] == counts[2] > 0
 
 
 class TestRatioTable:

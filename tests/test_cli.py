@@ -314,6 +314,9 @@ def _limit_address_space():
         # sweeps past the pool's task cap are refused before a task list exists
         (["bounds", "-g", "2", "-n", "3..100000000"], 3),
         (["asymp", "bracket", "--m-range", "2..100000000"], 3),
+        # and so are row sweeps that never reach the pool
+        (["star", "--max", "1000000000"], 3),
+        (["family", "-g", "2", "--p-max", "100000000"], 3),
     ],
 )
 def test_extreme_inputs_finish_in_bounded_memory(argv, code):

@@ -6,6 +6,7 @@ parameters, once as it is and once with one defect injected into the code
 it checks.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,23 @@ def _spurious_gap(orig):
     return table
 
 
+def _with_counts(counts):
+    # fiber_data with its boundary counts from counts(x, y, z), the rest as
+    # homology computes it
+    def fiber_data(c):
+        x, y, z = c
+        ba, bb, bg = counts(x, y, z)
+        n_total, norm = ba + bb + bg, x + y - z
+        if (norm - n_total) % 2 or norm + 2 < n_total:
+            raise RuntimeError(f"genus formula failed for {(x, y, z)}")
+        return homology.FiberData(
+            norm, ba, bb, bg, n_total, (2 - n_total + norm) // 2,
+            x // ba, y // bb, (x + y - 2 * z) // bg,
+        )
+
+    return lambda orig: fiber_data
+
+
 def _third_sign_change(orig):
     # t*f - 1 has the coefficient signs +, -, ..., -, +, -
     return lambda c: polynomials.make_poly(
@@ -100,6 +118,18 @@ CASES = [
     pytest.param(
         "topology", homology, "fiber_data", _wrong_genus, "genus value fails",
         id="topology-genus",
+    ),
+    pytest.param(
+        # gcd(0, 0) = 0 at (1, 1, 0): a ZeroDivisionError on that class
+        "topology", homology, "fiber_data",
+        _with_counts(lambda x, y, z: (math.gcd(x, y + z), math.gcd(y, z + x), math.gcd(z, x - y))),
+        "(1, 1, 0): fiber_data raised ZeroDivisionError", id="topology-gamma-count-raises",
+    ),
+    pytest.param(
+        # norm - n_total is odd at (2, 1, -5): the genus formula raises
+        "topology", homology, "fiber_data",
+        _with_counts(lambda x, y, z: (math.gcd(x, y), math.gcd(y, z + x), math.gcd(z, x + y))),
+        "(2, 1, -5): fiber_data raised RuntimeError", id="topology-alpha-count-raises",
     ),
     pytest.param(
         "topology", polynomials, "dilatation_poly", _third_sign_change,
