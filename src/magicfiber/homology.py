@@ -14,6 +14,29 @@ cone this module computes the full topology of the fiber: the number of fiber
 boundary components on each cusp torus (a gcd formula), the genus, and the
 number of prongs of the stable foliation at each boundary component.
 
+The fiber data obeys two identities, which ``verify topology`` checks on a
+sweep.
+
+Parity: norm = n_total (mod 2), so the genus (2 - n_total + norm) / 2 is an
+integer.  gcd(a, b) is odd iff a or b is odd: two even numbers share the
+factor 2, and a divisor of an odd number is odd.  Both n_total =
+gcd(x, y+z) + gcd(y, z+x) + gcd(z, x+y) and norm = x+y-z = x+y+z (mod 2)
+are symmetric in x, y, z mod 2, so the seven parity classes of a primitive
+class reduce to three.  With one odd coordinate every gcd has an odd
+argument, so n_total = 1 = norm.  With two, the two gcds of the odd
+coordinates are odd and gcd(even, odd + odd) is even, so n_total = 0 =
+norm.  With three, all three gcds are odd, so n_total = 1 = norm.
+
+Cusp symmetry sigma: (x, y, z) -> (y, x, z) fixes the open cone, the norm
+and primitivity, and fiber_data(y, x, z) is fiber_data(x, y, z) with the
+alpha and beta fields exchanged.  b_alpha(y, x, z) = gcd(y, x+z) =
+b_beta(x, y, z), b_beta(y, x, z) = gcd(x, z+y) = b_alpha(x, y, z), and
+b_gamma = gcd(z, x+y) is symmetric in x and y; so n_total and the genus are
+unchanged.  The prongs follow: prongs_alpha(y, x, z) = y / b_beta(x, y, z)
+= prongs_beta(x, y, z), likewise for beta, and prongs_gamma =
+(x+y-2z) / b_gamma is symmetric.  The other face symmetry, (x, y, z) ->
+(x-z, y-z, -z), fixes the dilatation polynomial but not the fiber topology.
+
 One routine, ``_checked``, holds the coordinate rules (each an ``int``, at
 most 2**62 in absolute value); ``FiberedClass.__new__`` runs it at every
 construction, ``_replace`` and unpickling included, and the tuple path of

@@ -151,6 +151,8 @@ def dilatation_poly(c) -> SparsePoly:
     x > z, and so on), so the form is (x+y-z, 1), then the middle exponents
     in descending order with -1 each, equal neighbours merged into one term
     (-2 to -4, never 0), then (0, 1).  ``SparsePoly`` still checks the result.
+    The coefficient signs therefore read +, -, ..., -, +: every dilatation
+    polynomial has exactly two sign variations.
     """
     x, y, z = _cone_coords(c)
     terms = [(x + y - z, 1)]

@@ -1,12 +1,15 @@
 """Self-verification suites: invariant sweeps runnable from the CLI.
 
 Each suite checks one block of the package's contract (known-value root
-regressions, the polynomial identity, the topology closed forms, the
-Descartes counts of f and of its shifted palindromic half, the coprimality
-condition, bound tables, asymptotics) and reports one pass/fail line.  They
-are the only checkers of these claims: acceptance criteria 1-6 call suites
-1-6 and assert their verdicts.  Suites report no timings, so their output is
-deterministic.
+regressions, the polynomial identity, the fiber topology with its cusp
+symmetry and closed forms, the Descartes counts of f and of its shifted
+palindromic half, the coprimality condition, bound tables, asymptotics) and
+reports one pass/fail line.  They are the only checkers of these claims:
+acceptance criteria 1-6 call suites 1-6 and assert their verdicts.  A claim
+that the code's construction proves is checked once at run time, not in
+every suite: the two sign variations of every dilatation polynomial are
+proved in ``polynomials.dilatation_poly`` and counted by ``rootcount``
+alone.  Suites report no timings, so their output is deterministic.
 """
 
 from __future__ import annotations
@@ -102,27 +105,58 @@ def _fiber_data(c: tuple[int, int, int], failures: list[str]):
         return None
 
 
-def suite_topology(max_norm: int = 60, max_gp: int = 60) -> SuiteResult:
-    """Fiber-data invariants on a full sweep, plus the closed-form cross-oracle.
+def _check_fiber(c, fd, failures: list[str]) -> None:
+    """The four fiber-data checks on one class: boundary sum through Euler-Poincare."""
+    if fd.n_total != fd.b_alpha + fd.b_beta + fd.b_gamma:
+        failures.append(f"{c}: boundary sum mismatch")
+    if (fd.norm - fd.n_total) % 2 or fd.genus < 0:
+        failures.append(f"{c}: genus integrality fails")
+    if 2 * fd.genus != 2 - fd.n_total + fd.norm:
+        failures.append(f"{c}: genus value fails")
+    if not homology.euler_poincare_check(fd):
+        failures.append(f"{c}: Euler-Poincare balance fails")
 
-    An exception from ``fiber_data`` fails the class that it was raised on.
+
+def _sigma(fd) -> tuple:
+    """The fields of ``fd`` with the alpha and beta cusps exchanged."""
+    norm, ba, bb, bg, n_total, genus, pa, pb, pg = fd
+    return (norm, bb, ba, bg, n_total, genus, pb, pa, pg)
+
+
+def suite_topology(max_norm: int = 60, max_gp: int = 60) -> SuiteResult:
+    """Fiber-data invariants and the cusp symmetry on a full sweep, plus the
+    closed-form cross-oracle.
+
+    The sweep visits each sigma-pair {(x, y, z), (y, x, z)} of primitive
+    cone classes of norm at most ``max_norm`` once, from its member with
+    x <= y, and calls ``fiber_data`` once on each member.  Each member gets
+    the four fiber-data checks; the pair gets the cusp symmetry sigma (the
+    ``homology`` module docstring proves it): the data of (y, x, z) is that
+    of (x, y, z) with the alpha and beta fields exchanged.  On the diagonal
+    x = y sigma says the data is its own exchange.  The dilatation
+    polynomial's two sign variations are proved in ``dilatation_poly`` and
+    checked by ``suite_rootcount``, so this sweep builds no polynomial.  An
+    exception from ``fiber_data`` fails the class that it was raised on.
     """
     failures = []
     checked = 0
     for c in iter_cone_classes(max_norm):
+        x, y, z = c
+        if x > y:
+            continue  # visited as the mirror of (y, x, z)
         checked += 1
         fd = _fiber_data(c, failures)
         if fd is not None:
-            if fd.n_total != fd.b_alpha + fd.b_beta + fd.b_gamma:
-                failures.append(f"{c}: boundary sum mismatch")
-            if (fd.norm - fd.n_total) % 2 or fd.genus < 0:
-                failures.append(f"{c}: genus integrality fails")
-            if 2 * fd.genus != 2 - fd.n_total + fd.norm:
-                failures.append(f"{c}: genus value fails")
-            if not homology.euler_poincare_check(fd):
-                failures.append(f"{c}: Euler-Poincare balance fails")
-        if polynomials.sign_variations(polynomials.dilatation_poly(c)) != 2:
-            failures.append(f"{c}: sign variations != 2")
+            _check_fiber(c, fd, failures)
+        fm = fd
+        if x < y:
+            checked += 1
+            mirror = (y, x, z)
+            fm = _fiber_data(mirror, failures)
+            if fm is not None:
+                _check_fiber(mirror, fm, failures)
+        if fd is not None and fm is not None and tuple(fm) != _sigma(fd):
+            failures.append(f"{c}: cusp symmetry fails")
         if len(failures) > 5:
             break
     pairs = 0

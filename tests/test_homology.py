@@ -22,10 +22,10 @@ from magicfiber.homology import MAX_COORD
 
 
 @st.composite
-def primitive_cone_classes(draw):
+def primitive_cone_classes(draw, bound=10**6):
     """Primitive classes of the open cone, z <= 0 and the collisions x = y, x = y - z included."""
-    x, y = draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))
-    z = draw(st.integers(-(10**6), 10**6))
+    x, y = draw(st.integers(1, bound)), draw(st.integers(1, bound))
+    z = draw(st.integers(-bound, bound))
     shape = draw(st.sampled_from(["any", "x = y", "x = y - z"]))
     if shape == "x = y":
         y = x
@@ -202,6 +202,24 @@ class TestFiberData:
 
     def test_determinism(self):
         assert fiber_data((9, 4, -1)) == fiber_data((9, 4, -1))
+
+
+class TestIdentities:
+    """The module docstring's identities, at sizes the norm <= 60 sweep of
+    ``verify topology`` never reaches."""
+
+    @settings(max_examples=200)
+    @given(primitive_cone_classes(10**12))
+    def test_identities_and_cusp_symmetry(self, c):
+        x, y, z = c
+        fd = fiber_data(c)
+        assert fd.n_total == fd.b_alpha + fd.b_beta + fd.b_gamma
+        assert 2 * fd.genus == 2 - fd.n_total + fd.norm
+        assert euler_poincare_check(fd)
+        assert fiber_data((y, x, z)) == fd._replace(
+            b_alpha=fd.b_beta, b_beta=fd.b_alpha,
+            prongs_alpha=fd.prongs_beta, prongs_beta=fd.prongs_alpha,
+        )
 
 
 class TestOneValidation:

@@ -80,6 +80,24 @@ def _with_counts(counts):
     return lambda orig: fiber_data
 
 
+def _with_fields(fields):
+    # fiber_data with the fields that fields(x, y, z, data) names replaced
+    def defect(orig):
+        def fiber_data(c):
+            fd = orig(c)
+            return fd._replace(**fields(*c, fd))
+
+        return fiber_data
+
+    return defect
+
+
+def _unswapped_mirror(orig):
+    # (y, x, z) gets the data of (x, y, z) when x > y: consistent in itself,
+    # so only the cusp symmetry sees it
+    return lambda c: orig((c[1], c[0], c[2])) if c[0] > c[1] else orig(c)
+
+
 def _third_sign_change(orig):
     # t*f - 1 has the coefficient signs +, -, ..., -, +, -
     return lambda c: polynomials.make_poly(
@@ -132,8 +150,31 @@ CASES = [
         "(2, 1, -5): fiber_data raised RuntimeError", id="topology-alpha-count-raises",
     ),
     pytest.param(
-        "topology", polynomials, "dilatation_poly", _third_sign_change,
-        "sign variations != 2", id="topology-sign-variations",
+        "topology", homology, "fiber_data", _unswapped_mirror,
+        "(1, 2, -5): cusp symmetry fails", id="topology-sigma",
+    ),
+    pytest.param(
+        "topology", homology, "fiber_data",
+        _with_fields(lambda x, y, z, fd: {"prongs_gamma": (x + y - z) // fd.b_gamma}),
+        "(1, 1, -6): Euler-Poincare balance fails", id="topology-gamma-prongs",
+    ),
+    pytest.param(
+        # sigma still holds, so only Euler-Poincare sees the counts and the
+        # prongs disagree
+        "topology", homology, "fiber_data",
+        _with_fields(lambda x, y, z, fd: {"b_alpha": fd.b_beta, "b_beta": fd.b_alpha}),
+        "(1, 4, -3): Euler-Poincare balance fails", id="topology-swapped-counts",
+    ),
+    pytest.param(
+        "topology", homology, "fiber_data",
+        _with_fields(
+            lambda x, y, z, fd: {"prongs_alpha": fd.prongs_beta, "prongs_beta": fd.prongs_alpha}
+        ),
+        "(1, 4, -3): Euler-Poincare balance fails", id="topology-swapped-prongs",
+    ),
+    pytest.param(
+        "rootcount", polynomials, "dilatation_poly", _third_sign_change,
+        "sign variations != 2", id="rootcount-sign-variations",
     ),
     pytest.param(
         "rootcount", sturm, "shifted_half_variations", lambda orig: lambda f: 3,
@@ -209,6 +250,28 @@ def test_star_scans_each_genus_once(monkeypatch):
     assert result.passed, result.detail
     assert calls == list(range(2, 41))
     assert result.counts == {"equiv": 46, "brute": 39}
+
+
+def test_topology_builds_each_fiber_once_and_no_polynomial(monkeypatch):
+    calls, polys = [], []
+    orig_fd, orig_poly = homology.fiber_data, polynomials.dilatation_poly
+
+    def counted_fd(c):
+        calls.append(c)
+        return orig_fd(c)
+
+    def counted_poly(c):
+        polys.append(c)
+        return orig_poly(c)
+
+    monkeypatch.setattr(homology, "fiber_data", counted_fd)
+    monkeypatch.setattr(polynomials, "dilatation_poly", counted_poly)
+    result = verify.suite_topology(max_norm=12, max_gp=12)
+    assert result.passed, result.detail
+    assert result.counts == {"classes": 437, "pairs": 137}
+    assert sorted(calls[:437]) == sorted(verify.iter_cone_classes(12))
+    assert len(calls) == 437 + 137
+    assert polys == []
 
 
 def test_run_suites_takes_one_name_or_several_in_the_order_given():
