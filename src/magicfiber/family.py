@@ -30,8 +30,10 @@ The sum s_pq + s_qp is -1 mod p and mod q and less than 2pq - 1, so it is
 pq - 1 <= 2g, and the least failing s over all s >= 0 is at most g.  No s
 in {0, 1, 2, g-1, g} fails, since m is odd and prime to g and to g+1; so
 every CRT solution is at least 3, and the least failing s lies in
-[3, g-2].  ``condition_star`` takes the least CRT solution, and the O(g)
-gcd scan of the definition stays in ``condition_star_brute`` as an oracle.
+[3, g-2].  ``condition_star`` takes the least CRT solution.  ``verify star``
+checks it against two oracles with a sieve of their own: the prime-power
+test above, and a scan of the defining range 0 <= s <= g that marks the
+multiples of each prime of m.
 """
 
 from __future__ import annotations
@@ -213,7 +215,11 @@ def condition_star(g: int) -> tuple[bool, int | None]:
 
 
 def condition_star_brute(g: int) -> tuple[bool, int | None]:
-    """Direct gcd scan of 0 <= s <= g; the oracle for ``condition_star``."""
+    """Direct gcd scan of 0 <= s <= g, the definition of (*).
+
+    No code in the package calls it; it is kept as an export, and tests
+    compare it with ``condition_star`` and with the ``verify star`` oracles.
+    """
     if g < 2:
         raise ValueError("the condition is posed for g >= 2")
     m = 2 * g + 1
@@ -230,7 +236,9 @@ def condition_star_brute(g: int) -> tuple[bool, int | None]:
 def condition_star_star(g: int) -> bool:
     """The restricted-range variant over 3 <= s <= g-2 (equivalent for g >= 5).
 
-    Every CRT solution is at least 3, so only the upper end is tested.
+    Every CRT solution is at least 3, so only the upper end is tested.  It
+    reads the CRT solutions of ``condition_star``, so it is no oracle for
+    it; no code in the package calls it, and it is kept as an export.
     """
     if g < 5:
         raise ValueError("the restricted condition is posed for g >= 5")

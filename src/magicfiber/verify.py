@@ -9,17 +9,22 @@ acceptance criteria 1-6 call suites 1-6 and assert their verdicts.  A claim
 that the code's construction proves is checked once at run time, not in
 every suite: the two sign variations of every dilatation polynomial are
 proved in ``polynomials.dilatation_poly`` and counted by ``rootcount``
-alone.  Suites report no timings, so their output is deterministic.
+alone, and a class that the cusp symmetry maps onto a checked one is not
+checked again.  The oracles are independent of the code they check: the
+``star`` oracles factor 2g+1 with their own sieve.  ``asymptotics`` is
+imported by ``suite_asymp`` alone, so the other suites do not load it.
+Suites report no timings, so their output is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from . import asymptotics, family, homology, polynomials, roots, sturm
+from . import family, homology, polynomials, roots, sturm
 
 __all__ = [
     "SuiteResult",
@@ -42,6 +47,15 @@ def iter_cone_classes(max_norm: int) -> Iterator[tuple[int, int, int]]:
     for x in range(1, max_norm):
         for y in range(1, max_norm):
             for z in range(x + y - max_norm, min(x, y)):
+                if math.gcd(x, y, z) == 1:
+                    yield (x, y, z)
+
+
+def _sigma_representatives(max_norm: int) -> Iterator[tuple[int, int, int]]:
+    """The members with x <= y of ``iter_cone_classes(max_norm)``."""
+    for x in range(1, max_norm):
+        for y in range(x, max_norm):
+            for z in range(x + y - max_norm, x):
                 if math.gcd(x, y, z) == 1:
                     yield (x, y, z)
 
@@ -129,34 +143,41 @@ def suite_topology(max_norm: int = 60, max_gp: int = 60) -> SuiteResult:
 
     The sweep visits each sigma-pair {(x, y, z), (y, x, z)} of primitive
     cone classes of norm at most ``max_norm`` once, from its member with
-    x <= y, and calls ``fiber_data`` once on each member.  Each member gets
-    the four fiber-data checks; the pair gets the cusp symmetry sigma (the
-    ``homology`` module docstring proves it): the data of (y, x, z) is that
-    of (x, y, z) with the alpha and beta fields exchanged.  On the diagonal
-    x = y sigma says the data is its own exchange.  The dilatation
-    polynomial's two sign variations are proved in ``dilatation_poly`` and
-    checked by ``suite_rootcount``, so this sweep builds no polynomial.  An
-    exception from ``fiber_data`` fails the class that it was raised on.
+    x <= y (the cone's z < min(x, y) is then z < x), and calls
+    ``fiber_data`` once on each member.  The pair gets the cusp symmetry
+    sigma (the ``homology`` module docstring proves it): the data of
+    (y, x, z) is that of (x, y, z) with the alpha and beta fields
+    exchanged.  On the diagonal x = y sigma says the data is its own
+    exchange.  The member (x, y, z) gets the four fiber-data checks.  Each
+    of them is symmetric under the alpha/beta exchange: the boundary sum and
+    the Euler-Poincare balance add the alpha and beta terms, and the two
+    genus checks read neither.  So where sigma holds, the checks on the
+    mirror have the results of those on (x, y, z), and they run on the
+    mirror only where sigma fails or a ``fiber_data`` call raised.  The
+    dilatation polynomial's two sign variations are proved in
+    ``dilatation_poly`` and checked by ``suite_rootcount``, so this sweep
+    builds no polynomial.  An exception from ``fiber_data`` fails the class
+    that it was raised on.
     """
     failures = []
     checked = 0
-    for c in iter_cone_classes(max_norm):
+    for c in _sigma_representatives(max_norm):
         x, y, z = c
-        if x > y:
-            continue  # visited as the mirror of (y, x, z)
-        checked += 1
         fd = _fiber_data(c, failures)
         if fd is not None:
             _check_fiber(c, fd, failures)
-        fm = fd
-        if x < y:
+        if x == y:
             checked += 1
+            fm = fd
+        else:
+            checked += 2
             mirror = (y, x, z)
             fm = _fiber_data(mirror, failures)
-            if fm is not None:
+        if fd is None or fm is None or tuple(fm) != _sigma(fd):
+            if fm is not None and x < y:
                 _check_fiber(mirror, fm, failures)
-        if fd is not None and fm is not None and tuple(fm) != _sigma(fd):
-            failures.append(f"{c}: cusp symmetry fails")
+            if fd is not None and fm is not None:
+                failures.append(f"{c}: cusp symmetry fails")
         if len(failures) > 5:
             break
     pairs = 0
@@ -209,33 +230,84 @@ def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
     return _result("rootcount", failures, f"{samples} sampled classes", samples=checked)
 
 
-def suite_star(equiv_max: int = 10_000, brute_max: int = 2_000) -> SuiteResult:
-    """Anchors, reduced-range equivalence, and brute-force oracle agreement.
+def _smallest_prime_factors(n: int) -> array:
+    """The smallest prime factor of each k in [2, n], by Eratosthenes' sieve.
 
-    ``condition_star`` is the least CRT solution over all s >= 0, unfiltered,
-    and ``condition_star_brute`` scans the defining range 0 <= s <= g.  They
-    agree iff the CRT code is right and the least failing s is at most g:
-    the solutions of the prime pairs (p, q) and (q, p) of 2g+1 sum to
-    pq - 1 <= 2g, so (*) holds iff 2g+1 is a prime power.  One comparison
-    per g up to ``brute_max`` checks both.
+    Entry k is k itself for a prime k (and for k < 2).  The primes up to
+    sqrt(n) mark their multiples from p^2 on, the largest first, so the
+    smallest prime's mark is the one that stays.
+    """
+    spf = array("l", range(n + 1))
+    small = [
+        p for p in range(2, math.isqrt(n) + 1)
+        if all(p % d for d in range(2, math.isqrt(p) + 1))
+    ]
+    for p in reversed(small):
+        spf[p * p :: p] = array("l", [p]) * len(range(p * p, n + 1, p))
+    return spf
+
+
+def _distinct_primes(m: int, spf: array) -> list[int]:
+    """The distinct primes of m >= 1, read off the sieve ``spf``."""
+    out = []
+    while m > 1:
+        p = spf[m]
+        out.append(p)
+        while m % p == 0:
+            m //= p
+    return out
+
+
+def _least_failing_s(g: int, primes: list[int]) -> tuple[bool, int | None]:
+    """Condition (*) on its defining range 0 <= s <= g, for the primes of 2g+1.
+
+    Byte s of the mask is 1 iff s shares a prime with 2g+1, for s up to g+1;
+    the least failing s is the first of two adjacent marks.
+    """
+    shared = bytearray(g + 2)
+    for p in primes:
+        shared[::p] = b"\x01" * len(range(0, g + 2, p))
+    s = shared.find(b"\x01\x01")
+    return (True, None) if s < 0 else (False, s)
+
+
+def suite_star(equiv_max: int = 10_000, brute_max: int = 2_000) -> SuiteResult:
+    """Anchors, the prime-power oracle, and the defining-range oracle.
+
+    One pass over g calls ``condition_star`` (the least CRT solution over
+    the prime pairs of 2g+1) once per g and compares it with two oracles
+    that factor 2g+1 on one Eratosthenes sieve of their own.  The
+    prime-power oracle checks the verdict for 5 <= g <= ``equiv_max``:
+    (*) holds iff 2g+1 has exactly one distinct prime (the lemma in the
+    ``family`` module docstring).  The defining-range oracle checks the
+    verdict and the least failing s for 2 <= g <= ``brute_max``: it marks
+    the multiples of each prime of 2g+1 in 0..g+1 and finds the first two
+    adjacent marks.  Neither reads the CRT code's factorisation, and the
+    second needs no lemma.
     """
     failures = []
-    if family.condition_star(4) != (True, None):
-        failures.append("g=4 should satisfy the condition")
-    if family.condition_star(7) != (False, 5):
-        failures.append("g=7 should fail with witness s=5")
-    equiv = 0
-    for g in range(5, equiv_max + 1):
-        equiv += 1
-        if family.condition_star(g)[0] != family.condition_star_star(g):
-            failures.append(f"g={g}: restricted range disagrees")
-            break
-    brute = 0
-    for g in range(2, brute_max + 1):
-        brute += 1
-        if family.condition_star(g) != family.condition_star_brute(g):
-            failures.append(f"g={g}: brute-force oracle disagrees")
-            break
+    anchors = {
+        4: ((True, None), "g=4 should satisfy the condition"),
+        7: ((False, 5), "g=7 should fail with witness s=5"),
+    }
+    top = max(equiv_max, brute_max, *anchors)
+    spf = _smallest_prime_factors(2 * top + 1)
+    equiv = brute = 0
+    equiv_fail = brute_fail = None
+    for g in range(2, top + 1):
+        star = family.condition_star(g)
+        if g in anchors and star != anchors[g][0]:
+            failures.append(anchors[g][1])
+        primes = _distinct_primes(2 * g + 1, spf)
+        if 5 <= g <= equiv_max and equiv_fail is None:
+            equiv += 1
+            if star[0] != (len(primes) == 1):
+                equiv_fail = f"g={g}: prime-power oracle disagrees"
+        if g <= brute_max and brute_fail is None:
+            brute += 1
+            if star != _least_failing_s(g, primes):
+                brute_fail = f"g={g}: brute-force oracle disagrees"
+    failures += [f for f in (equiv_fail, brute_fail) if f]
     return _result("star", failures, f"g <= {equiv_max}", equiv=equiv, brute=brute)
 
 
@@ -301,6 +373,8 @@ def suite_asymp(jobs: int = 1) -> SuiteResult:
     wide (0.5, 2.0) bracket holds over the whole sweep while the narrow
     (0.9, 1.1) one cannot have a smaller threshold (monotonicity).
     """
+    from . import asymptotics
+
     failures = []
     fam = asymptotics.b_family(2)
     table = asymptotics.ratio_table(fam, 2, 4, [10, 100, 1000, 10000], jobs=jobs)

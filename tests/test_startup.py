@@ -2,7 +2,8 @@
 
 ``import magicfiber`` loads no submodule; its public names are imported on
 first access.  The CLI imports the asymptotics, family and verify modules
-inside the subcommands that run them, and the records are NamedTuples, so
+inside the subcommands that run them (``verify`` imports asymptotics inside
+``suite_asymp`` alone), and the records are NamedTuples, so
 ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) is never imported.
 Each check runs in a fresh interpreter and looks only at the modules the
 statement adds to those the bare interpreter already has.
@@ -58,6 +59,18 @@ def test_asymp_ratio_loads_only_asymptotics():
     )
     assert "magicfiber.asymptotics" in added
     assert not added & HEAVY
+
+
+def test_verify_roots_loads_no_asymptotics():
+    added = _added_modules(
+        "import contextlib, io\n"
+        "from magicfiber import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', 'roots'])\n"
+        "assert code == 0, code"
+    )
+    assert "magicfiber.verify" in added
+    assert "magicfiber.asymptotics" not in added
 
 
 class TestExports:

@@ -105,9 +105,22 @@ def _third_sign_change(orig):
     )
 
 
-def _spurious_brute_failure(orig):
-    # 2g + 1 = 5 is prime, so g = 2 has no failing s
-    return lambda g: (False, 2) if g == 2 else orig(g)
+def _drop_largest_prime(orig):
+    # past the anchors 2g + 1 = 9 and 15 a composite loses its largest prime,
+    # so 21 = 3 * 7 reads as a prime power
+    return lambda n: orig(n)[:-1] if n > 15 and orig(n) != [n] else orig(n)
+
+
+def _crt_sign_slip(orig):
+    # past the anchors, s = +1 (mod q) in place of -1: for 21 the least
+    # solution is 7 (3 | 15, 7 | 7), not 6; the verdict stays right
+    def least_bad_s(m):
+        if m <= 15:
+            return orig(m)
+        primes = family._prime_factors(m)
+        return [p * (pow(p, -1, q) % q) for p in primes for q in primes if p != q]
+
+    return least_bad_s
 
 
 def _mirror_witness(orig):
@@ -154,6 +167,23 @@ CASES = [
         "(1, 2, -5): cusp symmetry fails", id="topology-sigma",
     ),
     pytest.param(
+        # b_alpha = b_beta on the diagonal, so Euler-Poincare still balances
+        "topology", homology, "fiber_data",
+        _with_fields(
+            lambda x, y, z, fd: {
+                "prongs_alpha": fd.prongs_alpha + 1, "prongs_beta": fd.prongs_beta - 1
+            } if x == y else {}
+        ),
+        "(1, 1, -6): cusp symmetry fails", id="topology-sigma-diagonal",
+    ),
+    pytest.param(
+        # sigma fails, so the mirror's own checks run and name it
+        "topology", homology, "fiber_data",
+        _with_fields(lambda x, y, z, fd: {"genus": fd.genus + 1} if x > y else {}),
+        "(2, 1, -5): genus value fails; (1, 2, -5): cusp symmetry fails",
+        id="topology-mirror-genus",
+    ),
+    pytest.param(
         "topology", homology, "fiber_data",
         _with_fields(lambda x, y, z, fd: {"prongs_gamma": (x + y - z) // fd.b_gamma}),
         "(1, 1, -6): Euler-Poincare balance fails", id="topology-gamma-prongs",
@@ -185,8 +215,8 @@ CASES = [
         "(g,p)=(0,0):", id="identity",
     ),
     pytest.param(
-        "star", family, "condition_star_star", lambda orig: lambda g: not orig(g),
-        "restricted range disagrees", id="star",
+        "star", family, "_prime_factors", _drop_largest_prime,
+        "g=10: prime-power oracle disagrees", id="star",
     ),
     pytest.param(
         # g = 3 lies below the equivalence sweep and is no anchor
@@ -194,8 +224,8 @@ CASES = [
         "g=3: brute-force oracle disagrees", id="star-half-range",
     ),
     pytest.param(
-        "star", family, "condition_star_brute", _spurious_brute_failure,
-        "g=2: brute-force oracle disagrees", id="star-brute",
+        "star", family, "_least_bad_s", _crt_sign_slip,
+        "g=10: brute-force oracle disagrees", id="star-brute",
     ),
     pytest.param(
         # the verdict is right, so only the brute check sees the witness
@@ -238,18 +268,29 @@ def test_suite_fails_on_an_injected_defect(suite, module, name, defect, detail, 
 
 
 def test_star_scans_each_genus_once(monkeypatch):
-    calls = []
-    orig = family.condition_star_brute
-
-    def counted(g):
-        calls.append(g)
-        return orig(g)
-
-    monkeypatch.setattr(family, "condition_star_brute", counted)
+    calls = {"condition_star": [], "condition_star_brute": [], "condition_star_star": []}
+    for name, log in calls.items():
+        orig = getattr(family, name)
+        monkeypatch.setattr(family, name, lambda g, orig=orig, log=log: log.append(g) or orig(g))
     result = verify.suite_star(equiv_max=50, brute_max=40)
     assert result.passed, result.detail
-    assert calls == list(range(2, 41))
+    assert calls == {
+        "condition_star": list(range(2, 51)), "condition_star_brute": [], "condition_star_star": []
+    }
     assert result.counts == {"equiv": 46, "brute": 39}
+
+
+def test_sieve_oracles_match_the_definition():
+    spf = verify._smallest_prime_factors(10_001)
+    assert all(
+        spf[k] == next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), k)
+        for k in range(2, 10_002)
+    )
+    for g in range(2, 5001):
+        primes = verify._distinct_primes(2 * g + 1, spf)
+        scan = family.condition_star_brute(g)
+        assert verify._least_failing_s(g, primes) == scan, g
+        assert (len(primes) == 1) == scan[0], g
 
 
 def test_topology_builds_each_fiber_once_and_no_polynomial(monkeypatch):
