@@ -6,9 +6,10 @@ P_m(t) = t^(2m+2g+2) - t^(2m+1) - 2 t^(m+g+1) - t^(2g+1) + 1 of the class
 that root is squeezed between m^(c1/m) and m^(c2/m) for any
 0 < c1 < 1 < c2 once m is large.  The tools below verify such statements
 over finite sweeps and report the empirical threshold; they never claim the
-limit itself.  ``bracket_check`` settles whole blocks of m at once from the
-roots at their ends, since lambda_m and m^(c/m) both decrease in m; a
-single m is the block [m, m].
+limit itself.  ``bracket_check`` takes the genus g and settles whole blocks
+of m at once from the roots at their ends, since lambda_m and m^(c/m) both
+decrease in m; a single m is the block [m, m].  ``ratio_table`` takes the
+family as a callable, ``b_family(g)``.
 
 Comparisons against m^(c/m) are exact: for c = a/b the inequality
 lambda > m^(c/m) is equivalent to lambda^(b*m) > m^a, which is decided at
@@ -164,13 +165,13 @@ def _block_ok(
     return None
 
 
-def _failures(fam: Family, m_lo: int, m_hi: int, c1: Fraction, c2: Fraction) -> list[int]:
-    """The m in [m_lo, m_hi] where the bracket fails, block by block."""
+def _failures(g: int, m_lo: int, m_hi: int, c1: Fraction, c2: Fraction) -> list[int]:
+    """The m in [m_lo, m_hi] where the bracket fails at genus g, block by block."""
     isolated: dict[int, CertifiedRoot] = {}
 
     def root(m: int) -> CertifiedRoot:
         if m not in isolated:
-            isolated[m] = unique_root_gt1(fam(m))
+            isolated[m] = unique_root_gt1(family_poly(g, m))
         return isolated[m]
 
     failures = []
@@ -188,7 +189,7 @@ def _failures(fam: Family, m_lo: int, m_hi: int, c1: Fraction, c2: Fraction) -> 
                 blocks += [(mid + (mid == a), b), (a, mid)]
             elif isolated[a].tol > DEFAULT_TOL / 2**64:
                 # at most 64 halvings, each to the child cell on the same grid
-                isolated[a] = unique_root_gt1(fam(a), isolated[a].tol / 2)
+                isolated[a] = unique_root_gt1(family_poly(g, a), isolated[a].tol / 2)
                 blocks.append((a, a))
             else:
                 raise PrecisionError(f"could not separate lambda_{a} from {a}^(c/{a})")
@@ -199,12 +200,11 @@ def _failures(fam: Family, m_lo: int, m_hi: int, c1: Fraction, c2: Fraction) -> 
     return failures
 
 
-def bracket_check(fam: Family, c_lower, c_upper, m_lo: int, m_hi: int) -> BracketReport:
-    """Certified verdicts of the two-sided bracket over [m_lo, m_hi].
+def bracket_check(g: int, c_lower, c_upper, m_lo: int, m_hi: int) -> BracketReport:
+    """Certified verdicts of the two-sided bracket over [m_lo, m_hi] at genus g.
 
-    ``fam`` must be ``b_family(g)``; any other callable raises
-    ``ValueError``.  The verdicts are decided block by block, from two
-    facts about that family:
+    The verdicts are decided block by block, from two facts about the
+    family m -> family_poly(g, m):
 
     1. lambda_m strictly decreases in m.  The class of m is a + m*b with
        a = (g+1, 1, -g) and b = (1, 2, 1), and the ray a + s*b, s >= 0,
@@ -237,24 +237,20 @@ def bracket_check(fam: Family, c_lower, c_upper, m_lo: int, m_hi: int) -> Bracke
     all but equal to m^(c/m), leaves every block that holds m open, so it
     reaches the block [m, m] and raises PrecisionError there.
 
-    The sweep runs in this process.  A range of more than ``MAX_TASKS``
-    values of m raises PrecisionError before any work.
+    The sweep runs in this process.  A genus that is not an int >= 0
+    raises ValueError, and a range of more than ``MAX_TASKS`` values of m
+    raises PrecisionError, before any work.
     """
+    if type(g) is not int or g < 0:
+        raise ValueError(f"need an int genus g >= 0, not {g!r}")
     c1 = _as_fraction(c_lower)
     c2 = _as_fraction(c_upper)
     if not 0 < c1 < 1 < c2:
         raise ValueError("need 0 < c_lower < 1 < c_upper")
     if not 1 <= m_lo <= m_hi:
         raise ValueError("need 1 <= m_lo <= m_hi")
-    if not (
-        isinstance(fam, functools.partial)
-        and fam.func is family_poly
-        and len(fam.args) == 1
-        and not fam.keywords
-    ):
-        raise ValueError("bracket_check takes only a family b_family(g)")
     check_tasks(m_hi - m_lo + 1)
-    failures = tuple(_failures(fam, m_lo, m_hi, c1, c2))
+    failures = tuple(_failures(g, m_lo, m_hi, c1, c2))
     return BracketReport(c_lower=c1, c_upper=c2, m_lo=m_lo, m_hi=m_hi, failures=failures)
 
 

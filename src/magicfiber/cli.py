@@ -318,11 +318,10 @@ def cmd_star(args):
 
 
 def cmd_asymp_bracket(args):
-    from .asymptotics import b_family, bracket_check
+    from .asymptotics import bracket_check
 
-    fam = b_family(args.genus)
     m_lo, m_hi = _parse_range(args.m_range)
-    report = bracket_check(fam, args.c1, args.c2, m_lo, m_hi)
+    report = bracket_check(args.genus, args.c1, args.c2, m_lo, m_hi)
     row = {
         "c_lower": str(report.c_lower),
         "c_upper": str(report.c_upper),

@@ -388,10 +388,10 @@ def suite_asymp(jobs: int = 1) -> SuiteResult:
         failures.append("(1,0)-ratios are not all positive")
     if not all(b < a for a, b in zip(devs, devs[1:])):
         failures.append("(1,0)-ratio deviation from 1 is not decreasing")
-    wide = asymptotics.bracket_check(fam, "0.5", "2.0", 2, 2000)
+    wide = asymptotics.bracket_check(2, "0.5", "2.0", 2, 2000)
     if not (wide.holds_tail and wide.threshold == 2):
         failures.append(f"wide bracket fails: threshold {wide.threshold}")
-    narrow = asymptotics.bracket_check(fam, "0.9", "1.1", 2, 200)
+    narrow = asymptotics.bracket_check(2, "0.9", "1.1", 2, 200)
     narrow_thr = narrow.threshold if narrow.threshold is not None else float("inf")
     if not wide.threshold <= narrow_thr:
         failures.append("bracket threshold monotonicity violated")

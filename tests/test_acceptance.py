@@ -122,8 +122,8 @@ def test_criterion_7_asymptotic_trend():
             f"  computed ratio at p={row.m}: "
             f"[{row.ratio_lo:.10f}, {row.ratio_hi:.10f}]"
         )
-    narrow = bracket_check(fam, "0.9", "1.1", 2, 2000)
-    wide = bracket_check(fam, "0.5", "2.0", 2, 2000)
+    narrow = bracket_check(g, "0.9", "1.1", 2, 2000)
+    wide = bracket_check(g, "0.5", "2.0", 2, 2000)
     for label, report in (("0.9, 1.1", narrow), ("0.5, 2.0", wide)):
         print(
             f"  computed bracket({label}) on [2, 2000]: "

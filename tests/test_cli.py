@@ -107,6 +107,13 @@ class TestUsageErrors:
         code, _ = run_cli("bounds", "-g", "1", "-n", "3..5")
         assert code == 2
 
+    def test_asymp_bracket_negative_genus(self, capsys):
+        code, out = run_cli("asymp", "bracket", "-g", "-1", "--m-range", "2..3")
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestStarCommand:
     def test_g7_witness(self):

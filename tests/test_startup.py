@@ -49,12 +49,16 @@ def test_cli_import_loads_no_subcommand_code():
     assert not added & (HEAVY | {"magicfiber.asymptotics"})
 
 
-def test_asymp_ratio_loads_only_asymptotics():
+@pytest.mark.parametrize(
+    "argv", [["asymp", "ratio", "--points", "10,100"], ["asymp", "bracket", "--m-range", "2..20"]],
+    ids=["ratio", "bracket"],
+)
+def test_asymp_loads_only_asymptotics(argv):
     added = _added_modules(
         "import contextlib, io\n"
         "from magicfiber import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['asymp', 'ratio', '--points', '10,100'])\n"
+        f"    code = cli.main({argv!r})\n"
         "assert code == 0, code"
     )
     assert "magicfiber.asymptotics" in added
