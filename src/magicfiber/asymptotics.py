@@ -8,8 +8,8 @@ that root is squeezed between m^(c1/m) and m^(c2/m) for any
 over finite sweeps and report the empirical threshold; they never claim the
 limit itself.  ``bracket_check`` takes the genus g and settles whole blocks
 of m at once from the roots at their ends, since lambda_m and m^(c/m) both
-decrease in m; a single m is the block [m, m].  ``ratio_table`` takes the
-family as a callable, ``b_family(g)``.
+decrease in m; a single m is the block [m, m].  ``ratio_table`` also takes
+the genus g, and both refuse a bad genus before any work.
 
 Comparisons against m^(c/m) are exact: for c = a/b the inequality
 lambda > m^(c/m) is equivalent to lambda^(b*m) > m^a, which is decided at
@@ -25,12 +25,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
 from ._pool import check_tasks, pmap
-from .polynomials import SparsePoly, family_poly
+from .polynomials import family_poly
 from .roots import (
     DEFAULT_MAX_BITS,
     DEFAULT_TOL,
@@ -62,12 +61,20 @@ _RATIO_PAD = 1e-13
 # above their few-ulp error.
 _LOG_PAD = 1e-9
 
-Family = Callable[[int], SparsePoly]
 
+def b_family(g: int):
+    """The family m -> family_poly(g, m), as a callable.
 
-def b_family(g: int) -> Family:
-    """The family m -> family_poly(g, m)."""
+    An export only: no package code calls it.  ``bracket_check`` and
+    ``ratio_table`` take the genus g and build the polynomials themselves.
+    """
     return functools.partial(family_poly, g)
+
+
+def _check_genus(g) -> None:
+    """Raise ValueError unless g is an int >= 0 (a bool is not taken)."""
+    if type(g) is not int or g < 0:
+        raise ValueError(f"need an int genus g >= 0, not {g!r}")
 
 
 def _dyadic_pow_cmp(x: Fraction, e: int, m: int, a: int) -> int:
@@ -241,8 +248,7 @@ def bracket_check(g: int, c_lower, c_upper, m_lo: int, m_hi: int) -> BracketRepo
     raises ValueError, and a range of more than ``MAX_TASKS`` values of m
     raises PrecisionError, before any work.
     """
-    if type(g) is not int or g < 0:
-        raise ValueError(f"need an int genus g >= 0, not {g!r}")
+    _check_genus(g)
     c1 = _as_fraction(c_lower)
     c2 = _as_fraction(c_upper)
     if not 0 < c1 < 1 < c2:
@@ -288,30 +294,36 @@ def _ratio_bounds(n: Fraction, root: CertifiedRoot) -> tuple[float, float]:
     return lo * (1 - _RATIO_PAD), hi * (1 + _RATIO_PAD)
 
 
-def _ratio_row(fam: Family, m: int, q: Fraction, v: Fraction, tol) -> RatioRow:
-    root = unique_root_gt1(fam(m), tol)
+def _ratio_row(g: int, m: int, q: Fraction, v: Fraction, tol) -> RatioRow:
+    root = unique_root_gt1(family_poly(g, m), tol)
     n = q * m + v
     lo, hi = _ratio_bounds(n, root)
     return RatioRow(m=m, n=n, root=root, ratio_lo=lo, ratio_hi=hi)
 
 
-def ratio_table(
-    fam: Family, q, v, m_list, tol=DEFAULT_TOL, jobs: int = 1
-) -> RatioTable:
-    """Normalized-entropy ratios over the given m values (order preserved)."""
+def ratio_table(g: int, q, v, m_list, tol=DEFAULT_TOL, jobs: int = 1) -> RatioTable:
+    """Normalized-entropy ratios at genus g over the given m values (order preserved).
+
+    A genus or an m that is not an int >= 0 (a bool or a float is not
+    taken), q = 0, or a q*m+v not above 1 raises ValueError, before any
+    worker starts.
+    """
+    _check_genus(g)
     q = _as_fraction(q)
     v = _as_fraction(v)
     if q == 0:
         raise ValueError("q must be nonzero")
-    ms = [int(m) for m in m_list]
+    ms = list(m_list)
     for m in ms:
+        if type(m) is not int or m < 0:
+            raise ValueError(f"need an int m >= 0, not {m!r}")
         n = q * m + v
         if n <= 1:
             raise ValueError(f"q*m+v must exceed 1 (fails at m={m})")
         if n > sys.float_info.max:  # _ratio_bounds takes float(n)
             raise PrecisionError(f"q*m+v exceeds the float range (at m={m})")
     tol = _as_tol(tol)
-    rows = pmap(_ratio_row, ((fam, m, q, v, tol) for m in ms), jobs)
+    rows = pmap(_ratio_row, ((g, m, q, v, tol) for m in ms), jobs)
     decreasing = all(
         rows[i + 1].ratio_hi < rows[i].ratio_lo for i in range(len(rows) - 1)
     )

@@ -340,12 +340,11 @@ def cmd_asymp_bracket(args):
 
 
 def cmd_asymp_ratio(args):
-    from .asymptotics import b_family, ratio_table
+    from .asymptotics import ratio_table
 
     tol = _as_tol(args.tol)
-    fam = b_family(args.genus)
     points = _parse_points(args.points)
-    table = ratio_table(fam, args.q, args.v, points, tol, jobs=args.jobs)
+    table = ratio_table(args.genus, args.q, args.v, points, tol, jobs=args.jobs)
     places = _value_places(tol)
     rows = [
         {

@@ -196,7 +196,7 @@ def suite_topology(max_norm: int = 60, max_gp: int = 60) -> SuiteResult:
     )
 
 
-def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
+def suite_rootcount(samples: int = 500) -> SuiteResult:
     """Descartes count 2 and exactly one root above t=1 (2 positive) on samples.
 
     Every dilatation polynomial f is a palindrome, since norm - x = y - z and
@@ -211,7 +211,7 @@ def suite_rootcount(samples: int = 500, seed: int = 20240807) -> SuiteResult:
     """
     failures = []
     checked = 0
-    for c in sample_cone_classes(samples, max_norm=100, seed=seed):
+    for c in sample_cone_classes(samples, max_norm=100):
         checked += 1
         f = polynomials.dilatation_poly(c)
         if polynomials.sign_variations(f) != 2:
@@ -313,26 +313,26 @@ def suite_star(equiv_max: int = 10_000, brute_max: int = 2_000) -> SuiteResult:
 
 def suite_bounds(
     gs: tuple[int, ...] = tuple(range(2, 10)),
-    n_min: int = 3,
     n_max: int = 500,
     jobs: int = 1,
 ) -> SuiteResult:
     """The two theorems behind the bound tables (``family`` module docstring).
 
-    Witnesses and gaps: every row of ``upper_bound_table`` has the largest
-    primitive candidate p (with 2p+1 <= n <= 2p+4) as its witness, and the
-    table has a no-witness row iff condition (*) fails.  Monotonicity: the
-    certified brackets of the table's distinct witnesses are strictly
-    ordered, lambda_q < lambda_p for witnesses p < q; a pair the brackets
-    cannot separate fails.  Every primitive p >= 1 up to (n_max - 1) // 2 is
-    a witness, so the pairs cover both candidates of each row where both
-    qualify, but for p = 0 at n = 3, 4.  The range 3..500 holds a full
-    period 2(2g+1) of n for every g <= 9.
+    The tables run over n = 3..n_max.  Witnesses and gaps: every row of
+    ``upper_bound_table`` has the largest primitive candidate p (with
+    2p+1 <= n <= 2p+4) as its witness, and the table has a no-witness row
+    iff condition (*) fails.  Monotonicity: the certified brackets of the
+    table's distinct witnesses are strictly ordered, lambda_q < lambda_p
+    for witnesses p < q; a pair the brackets cannot separate fails.  Every
+    primitive p >= 1 up to (n_max - 1) // 2 is a witness, so the pairs
+    cover both candidates of each row where both qualify, but for p = 0 at
+    n = 3, 4.  The range 3..500 holds a full period 2(2g+1) of n for every
+    g <= 9.
     """
     failures = []
     pairs = rows = 0
     for g in gs:
-        table = family.upper_bound_table(g, n_min, n_max, jobs=jobs)
+        table = family.upper_bound_table(g, 3, n_max, jobs=jobs)
         rows += len(table)
         for row in table:
             top = (row.n - 1) // 2
@@ -376,13 +376,12 @@ def suite_asymp(jobs: int = 1) -> SuiteResult:
     from . import asymptotics
 
     failures = []
-    fam = asymptotics.b_family(2)
-    table = asymptotics.ratio_table(fam, 2, 4, [10, 100, 1000, 10000], jobs=jobs)
+    table = asymptotics.ratio_table(2, 2, 4, [10, 100, 1000, 10000], jobs=jobs)
     if not table.strictly_increasing:
         failures.append("(2,4)-ratios are not certified strictly increasing")
     if not all(r.ratio_hi < 2.0 for r in table.rows):
         failures.append("(2,4)-ratios are not all below the limit 2")
-    unit = asymptotics.ratio_table(fam, 1, 0, [2**k for k in range(4, 15)], jobs=jobs)
+    unit = asymptotics.ratio_table(2, 1, 0, [2**k for k in range(4, 15)], jobs=jobs)
     devs = [abs((r.ratio_lo + r.ratio_hi) / 2 - 1.0) for r in unit.rows]
     if not all(r.ratio_lo > 0 for r in unit.rows):
         failures.append("(1,0)-ratios are not all positive")

@@ -50,7 +50,7 @@ import math
 import time
 from contextlib import redirect_stdout
 
-from magicfiber import b_family, bracket_check, ratio_table, verify
+from magicfiber import bracket_check, ratio_table, verify
 from magicfiber.cli import main as cli_main
 
 
@@ -115,8 +115,7 @@ def test_criterion_6_bound_tables():
 def test_criterion_7_asymptotic_trend():
     t0 = time.perf_counter()
     g = 2
-    fam = b_family(g)
-    table = ratio_table(fam, 2, 4, [10, 100, 1000, 10000])
+    table = ratio_table(g, 2, 4, [10, 100, 1000, 10000])
     for row in table.rows:
         print(
             f"  computed ratio at p={row.m}: "

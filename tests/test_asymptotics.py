@@ -315,14 +315,26 @@ def test_near_tie_inside_a_block_still_raises():
     )
 
 
-def test_only_an_int_genus_is_taken(monkeypatch):
+@pytest.mark.parametrize(
+    "sweep, bad_points",
+    [
+        (lambda g: bracket_check(g, "0.5", "2.0", 2, 10), ()),
+        (lambda g, m=10: ratio_table(g, 2, 4, [10, m], jobs=2), (-1, 10.5, True)),
+    ],
+    ids=["bracket_check", "ratio_table"],
+)
+def test_only_an_int_genus_is_taken(monkeypatch, sweep, bad_points):
     def refused(*args):
         raise AssertionError("the sweep began")
 
     monkeypatch.setattr(asymptotics, "unique_root_gt1", refused)
-    for g in (-1, 2.0, "2"):
+    monkeypatch.setattr(asymptotics, "pmap", refused)
+    for g in (-1, 2.0, "2", True):
         with pytest.raises(ValueError, match="genus"):
-            bracket_check(g, "0.5", "2.0", 2, 10)
+            sweep(g)
+    for m in bad_points:
+        with pytest.raises(ValueError, match="int m >= 0"):
+            sweep(2, m)
 
 
 def test_a_wrapped_family_poly_gives_the_same_failures(monkeypatch):
@@ -381,7 +393,7 @@ def test_long_sweep_runs_inline_at_any_jobs(monkeypatch):
 
 class TestRatioTable:
     def test_frozen_regression_cells(self):
-        table = ratio_table(b_family(2), 2, 4, sorted(RATIO_CELLS))
+        table = ratio_table(2, 2, 4, sorted(RATIO_CELLS))
         assert table.strictly_increasing
         assert not table.strictly_decreasing
         for row in table.rows:
@@ -390,14 +402,14 @@ class TestRatioTable:
             assert row.ratio_hi - row.ratio_lo < 1e-6
 
     def test_unit_slope_deviation_decreases(self):
-        table = ratio_table(b_family(2), 1, 0, [2**k for k in range(4, 11)])
+        table = ratio_table(2, 1, 0, [2**k for k in range(4, 11)])
         devs = [abs((r.ratio_lo + r.ratio_hi) / 2 - 1.0) for r in table.rows]
         assert all(r.ratio_lo > 0 for r in table.rows)
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
     def test_error_bounds_inherit_bracket(self):
-        coarse = ratio_table(b_family(2), 2, 4, [50], tol=Fraction(1, 10**4))
-        fine = ratio_table(b_family(2), 2, 4, [50], tol=Fraction(1, 10**10))
+        coarse = ratio_table(2, 2, 4, [50], tol=Fraction(1, 10**4))
+        fine = ratio_table(2, 2, 4, [50], tol=Fraction(1, 10**10))
         assert fine.rows[0].ratio_hi - fine.rows[0].ratio_lo < (
             coarse.rows[0].ratio_hi - coarse.rows[0].ratio_lo
         )
@@ -407,7 +419,7 @@ class TestRatioTable:
         # n*log(lambda)/log(n), so only the outward rounding keeps the ratio.
         mpmath = pytest.importorskip("mpmath")
         fam = b_family(2)
-        table = ratio_table(fam, 2, 4, [10**6, 10**6 + 3], tol=Fraction(1, 10**20))
+        table = ratio_table(2, 2, 4, [10**6, 10**6 + 3], tol=Fraction(1, 10**20))
 
         def mpf(x):
             return mpmath.mpf(x.numerator) / x.denominator
@@ -429,6 +441,6 @@ class TestRatioTable:
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            ratio_table(b_family(2), 0, 4, [10])
+            ratio_table(2, 0, 4, [10])
         with pytest.raises(ValueError):
-            ratio_table(b_family(2), 1, 0, [1])  # q*m+v = 1
+            ratio_table(2, 1, 0, [1])  # q*m+v = 1

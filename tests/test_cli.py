@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, determinism."""
 
+import concurrent.futures
 import io
 import json
 import os
@@ -109,6 +110,25 @@ class TestUsageErrors:
 
     def test_asymp_bracket_negative_genus(self, capsys):
         code, out = run_cli("asymp", "bracket", "-g", "-1", "--m-range", "2..3")
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("-g", "-1", "--points", "10,100"),
+            ("-q", "-1", "-v", "10", "--points=-5,-6"),
+        ],
+        ids=["genus", "points"],
+    )
+    def test_asymp_ratio_bad_input_starts_no_worker(self, argv, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a worker pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
+        code, out = run_cli("asymp", "ratio", *argv, "--jobs", "2")
         assert (code, out) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -21,7 +21,7 @@ from magicfiber import (
     fiber_data,
     unique_root_gt1,
 )
-from magicfiber.asymptotics import _ratio_row, b_family
+from magicfiber.asymptotics import _ratio_row
 from magicfiber.homology import MAX_COORD
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -118,7 +118,7 @@ class TestPlainRecords:
             lambda: unique_root_gt1(dilatation_poly((3, 1, -2)), Fraction(1, 10**20)),
             lambda: bound_row(2, 9),
             lambda: bound_row(0, 3),  # no witness: record is None
-            lambda: _ratio_row(b_family(2), 100, Fraction(2), Fraction(4), Fraction(1, 10**12)),
+            lambda: _ratio_row(2, 100, Fraction(2), Fraction(4), Fraction(1, 10**12)),
         ],
         ids=["CertifiedRoot", "BoundRow", "BoundRow-empty", "RatioRow"],
     )
