@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._pool import check_tasks, pmap
+from .homology import _int_arg
 from .polynomials import family_poly
 from .roots import (
     DEFAULT_MAX_BITS,
@@ -69,12 +70,6 @@ def b_family(g: int):
     ``ratio_table`` take the genus g and build the polynomials themselves.
     """
     return functools.partial(family_poly, g)
-
-
-def _check_genus(g) -> None:
-    """Raise ValueError unless g is an int >= 0 (a bool is not taken)."""
-    if type(g) is not int or g < 0:
-        raise ValueError(f"need an int genus g >= 0, not {g!r}")
 
 
 def _dyadic_pow_cmp(x: Fraction, e: int, m: int, a: int) -> int:
@@ -244,17 +239,18 @@ def bracket_check(g: int, c_lower, c_upper, m_lo: int, m_hi: int) -> BracketRepo
     all but equal to m^(c/m), leaves every block that holds m open, so it
     reaches the block [m, m] and raises PrecisionError there.
 
-    The sweep runs in this process.  A genus that is not an int >= 0
-    raises ValueError, and a range of more than ``MAX_TASKS`` values of m
-    raises PrecisionError, before any work.
+    The sweep runs in this process.  A genus that is not an int >= 0, or
+    a range that is not ints with 1 <= m_lo <= m_hi, raises ValueError,
+    and a range of more than ``MAX_TASKS`` values of m raises
+    PrecisionError, before any work.
     """
-    _check_genus(g)
+    _int_arg(g, "genus g")
     c1 = _as_fraction(c_lower)
     c2 = _as_fraction(c_upper)
     if not 0 < c1 < 1 < c2:
         raise ValueError("need 0 < c_lower < 1 < c_upper")
-    if not 1 <= m_lo <= m_hi:
-        raise ValueError("need 1 <= m_lo <= m_hi")
+    _int_arg(m_lo, "m_lo", 1)
+    _int_arg(m_hi, "m_hi", m_lo)
     check_tasks(m_hi - m_lo + 1)
     failures = tuple(_failures(g, m_lo, m_hi, c1, c2))
     return BracketReport(c_lower=c1, c_upper=c2, m_lo=m_lo, m_hi=m_hi, failures=failures)
@@ -308,15 +304,14 @@ def ratio_table(g: int, q, v, m_list, tol=DEFAULT_TOL, jobs: int = 1) -> RatioTa
     taken), q = 0, or a q*m+v not above 1 raises ValueError, before any
     worker starts.
     """
-    _check_genus(g)
+    _int_arg(g, "genus g")
     q = _as_fraction(q)
     v = _as_fraction(v)
     if q == 0:
         raise ValueError("q must be nonzero")
     ms = list(m_list)
     for m in ms:
-        if type(m) is not int or m < 0:
-            raise ValueError(f"need an int m >= 0, not {m!r}")
+        _int_arg(m, "m")
         n = q * m + v
         if n <= 1:
             raise ValueError(f"q*m+v must exceed 1 (fails at m={m})")

@@ -42,7 +42,7 @@ import math
 from typing import NamedTuple
 
 from ._pool import pmap
-from .homology import FiberData, FiberedClass, NotPrimitiveError
+from .homology import FiberData, FiberedClass, NotPrimitiveError, _int_arg
 from .polynomials import family_poly
 from .roots import (
     DEFAULT_MAX_BITS,
@@ -102,22 +102,19 @@ class BoundRow(NamedTuple):
 
 def family_class(g: int, p: int) -> FamilyClass:
     """The class (p+g+1, 2p+1, p-g), always in the open cone."""
-    if g < 0 or p < 0:
-        raise ValueError("g and p must be nonnegative")
+    _int_arg(g, "genus g")
+    _int_arg(p, "p")
     cls = FiberedClass(p + g + 1, 2 * p + 1, p - g)
     return FamilyClass(
         g=g, p=p, fibered_class=cls, primitive=math.gcd(2 * g + 1, p + g + 1) == 1
     )
 
 
-def _require_primitive(g: int, p: int) -> FamilyClass:
-    fc = family_class(g, p)
-    if not fc.primitive:
-        raise NotPrimitiveError(
-            f"(g, p) = ({g}, {p}): gcd(2g+1, p+g+1) = "
-            f"{math.gcd(2 * g + 1, p + g + 1)} != 1"
-        )
-    return fc
+def _require_primitive(g: int, p: int) -> None:
+    # family_class owns the primitivity of (g, p), so every path reads it there
+    if not family_class(g, p).primitive:
+        d = math.gcd(2 * g + 1, p + g + 1)
+        raise NotPrimitiveError(f"(g, p) = ({g}, {p}): gcd(2g+1, p+g+1) = {d} != 1")
 
 
 def family_fiber_data(g: int, p: int) -> FiberData:
@@ -208,8 +205,7 @@ def condition_star(g: int) -> tuple[bool, int | None]:
     Returns (True, None) or (False, least failing s): the least CRT solution
     over the prime pairs of 2g+1, which is at most g (module docstring).
     """
-    if g < 2:
-        raise ValueError("the condition is posed for g >= 2")
+    _int_arg(g, "genus g", 2)
     s = min(_least_bad_s(2 * g + 1), default=None)
     return s is None, s
 
@@ -220,8 +216,7 @@ def condition_star_brute(g: int) -> tuple[bool, int | None]:
     No code in the package calls it; it is kept as an export, and tests
     compare it with ``condition_star`` and with the ``verify star`` oracles.
     """
-    if g < 2:
-        raise ValueError("the condition is posed for g >= 2")
+    _int_arg(g, "genus g", 2)
     m = 2 * g + 1
     gcd = math.gcd
     prev = gcd(m, 0)
@@ -240,8 +235,7 @@ def condition_star_star(g: int) -> bool:
     reads the CRT solutions of ``condition_star``, so it is no oracle for
     it; no code in the package calls it, and it is kept as an export.
     """
-    if g < 5:
-        raise ValueError("the restricted condition is posed for g >= 5")
+    _int_arg(g, "genus g", 5)
     return all(s > g - 2 for s in _least_bad_s(2 * g + 1))
 
 
@@ -251,7 +245,12 @@ def _candidate_ps(n: int) -> list[int]:
 
 def bound_row(g: int, n: int, tol=DEFAULT_TOL) -> BoundRow:
     """Certified bound for (g, n) from its largest qualifying p (lambda_p
-    decreases in p, module docstring), or a no-witness row."""
+    decreases in p, module docstring), or a no-witness row.
+
+    A g or an n that is not an int >= 0 raises ValueError before any work.
+    """
+    _int_arg(g, "genus g")
+    _int_arg(n, "n")
     tol = _as_tol(tol)
     candidates = []
     pruned = []
@@ -271,10 +270,15 @@ def bound_row(g: int, n: int, tol=DEFAULT_TOL) -> BoundRow:
 def upper_bound_table(
     g: int, n_min: int, n_max: int, tol=DEFAULT_TOL, jobs: int = 1
 ) -> list[BoundRow]:
-    """Bound rows for every n in [n_min, n_max] (absence is data, not error)."""
+    """Bound rows for every n in [n_min, n_max] (absence is data, not error).
+
+    A g that is not an int >= 2, or an n_min or n_max that is not an int
+    with 1 <= n_min <= n_max, raises ValueError before any worker starts.
+    """
+    _int_arg(g, "genus g")
     if g < 2:
         raise ValueError("bound tables are stated for g >= 2")
-    if not 1 <= n_min <= n_max:
-        raise ValueError("need 1 <= n_min <= n_max")
+    _int_arg(n_min, "n_min", 1)
+    _int_arg(n_max, "n_max", n_min)
     tol = _as_tol(tol)
     return pmap(bound_row, ((g, n, tol) for n in range(n_min, n_max + 1)), jobs)

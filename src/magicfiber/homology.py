@@ -37,12 +37,16 @@ unchanged.  The prongs follow: prongs_alpha(y, x, z) = y / b_beta(x, y, z)
 (x+y-2z) / b_gamma is symmetric.  The other face symmetry, (x, y, z) ->
 (x-z, y-z, -z), fixes the dilatation polynomial but not the fiber topology.
 
-One routine, ``_checked``, holds the coordinate rules (each an ``int``, at
-most 2**62 in absolute value); ``FiberedClass.__new__`` runs it at every
-construction, ``_replace`` and unpickling included, and the tuple path of
-``_cone_coords`` runs it on the unpacked triple, so a class is checked once,
-as plain ints, whichever form it comes in.  The checks run in one order:
-type, range, cone, primitivity.
+One routine, ``_checked``, holds the coordinate rules: each an ``int``
+(a ``bool`` is not taken), at most 2**62 in absolute value.
+``FiberedClass.__new__`` runs it at every construction, ``_replace`` and
+unpickling included, and every function here that computes from a class
+reads it through one reader, ``_coords``, which unpacks a triple or a
+``FiberedClass`` alike and runs ``_checked`` on the result.  The checks
+run in one order: type, range, cone, primitivity.  ``_int_arg`` holds the
+rule for the package's integer arguments (a genus g, a family index p, a
+puncture count n, an index m): an ``int``, not a ``bool``, and at least a
+stated least value.
 """
 
 from __future__ import annotations
@@ -80,10 +84,23 @@ class NotPrimitiveError(ValueError):
 def _checked(x, y, z) -> None:
     """The coordinate rules: each an int, of absolute value at most MAX_COORD."""
     for v in (x, y, z):
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise TypeError(f"coordinates must be integers, got {v!r}")
         if abs(v) > MAX_COORD:
             raise ValueError(f"coordinate {v} exceeds the supported range 2**62")
+
+
+def _coords(c) -> tuple[int, int, int]:
+    """The checked coordinates of a FiberedClass or an (x, y, z) triple."""
+    x, y, z = c
+    _checked(x, y, z)
+    return x, y, z
+
+
+def _int_arg(v, name: str, least: int = 0) -> None:
+    """The integer-argument rule: an int, not a bool, of at least ``least``."""
+    if type(v) is not int or v < least:
+        raise ValueError(f"need an int {name} >= {least}, not {v!r}")
 
 
 class _Coords(NamedTuple):
@@ -138,10 +155,7 @@ class FiberData(NamedTuple):
 
 def as_fibered_class(c) -> FiberedClass:
     """Coerce a FiberedClass or an (x, y, z) triple."""
-    if isinstance(c, FiberedClass):
-        return c
-    x, y, z = c
-    return FiberedClass(x, y, z)
+    return c if isinstance(c, FiberedClass) else FiberedClass(*c)
 
 
 def thurston_norm(c) -> int:
@@ -151,13 +165,13 @@ def thurston_norm(c) -> int:
     the norm is the max of their absolute values.  On the fibered cone this
     reduces to x+y-z.
     """
-    x, y, z = as_fibered_class(c).coords()
+    x, y, z = _coords(c)
     return max(abs(x + y - z), abs(x - y + z), abs(-x + y + z))
 
 
 def in_fibered_cone(c) -> bool:
     """True iff the class lies in the open cone over the fibered face."""
-    return _in_cone(*as_fibered_class(c).coords())
+    return _in_cone(*_coords(c))
 
 
 def _in_cone(x: int, y: int, z: int) -> bool:
@@ -166,7 +180,7 @@ def _in_cone(x: int, y: int, z: int) -> bool:
 
 def is_primitive(c) -> bool:
     """True iff gcd(|x|, |y|, |z|) = 1.  The zero class is rejected."""
-    x, y, z = as_fibered_class(c).coords()
+    x, y, z = _coords(c)
     if x == 0 and y == 0 and z == 0:
         raise NotPrimitiveError("the zero class has no primitivity")
     return math.gcd(x, y, z) == 1
@@ -174,11 +188,7 @@ def is_primitive(c) -> bool:
 
 def _cone_coords(c) -> tuple[int, int, int]:
     """The checked coordinates of a FiberedClass or triple in the open cone."""
-    if isinstance(c, FiberedClass):
-        x, y, z = c.x, c.y, c.z  # checked at construction
-    else:
-        x, y, z = c
-        _checked(x, y, z)
+    x, y, z = _coords(c)
     if not _in_cone(x, y, z):
         raise NotInConeError(f"{(x, y, z)} is not in the open fibered cone")
     return x, y, z

@@ -13,6 +13,10 @@ is the empty tuple.  The two constructors that matter:
 
 Exponent collisions for small parameters are legitimate and are resolved by
 canonical merging (e.g. family_poly(0, 0) is t^2 - 4t + 1).
+
+Every exponent and coefficient is an ``int`` (a ``bool`` is not taken) and
+every exponent is nonnegative: ``_checked_term`` holds that rule, and both
+``SparsePoly`` and ``make_poly`` run it on each term they are given.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .homology import _cone_coords
+from .homology import _cone_coords, _int_arg
 
 __all__ = [
     "SparsePoly",
@@ -31,6 +35,14 @@ __all__ = [
 ]
 
 
+def _checked_term(e, c) -> None:
+    """The term rules: an int exponent >= 0 and an int coefficient."""
+    if type(e) is not int or type(c) is not int:
+        raise TypeError(f"exponents and coefficients must be integers, got {(e, c)!r}")
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+
+
 class _Terms(NamedTuple):
     terms: tuple[tuple[int, int], ...]
 
@@ -39,8 +51,10 @@ class _Terms(NamedTuple):
 class SparsePoly(_Terms):
     """Immutable sparse integer polynomial in one variable t.
 
-    Construction (``_replace`` and unpickling included) checks the
-    canonical form.
+    Construction (``_replace`` and unpickling included) checks each term
+    (an int exponent >= 0 and an int coefficient, a bool taken for
+    neither) and the canonical form: no zero coefficient, exponents
+    strictly decreasing.
     """
 
     __slots__ = ()
@@ -48,8 +62,7 @@ class SparsePoly(_Terms):
     def __new__(cls, terms):
         last = None
         for e, c in terms:
-            if e < 0:
-                raise ValueError(f"negative exponent {e}")
+            _checked_term(e, c)
             if c == 0:
                 raise ValueError("zero coefficient in canonical form")
             if last is not None and e >= last:
@@ -129,12 +142,12 @@ def make_poly(terms) -> SparsePoly:
     """Canonicalize an iterable of (exponent, coefficient) pairs.
 
     Like exponents are merged, zero coefficients dropped, exponents sorted
-    descending.  Negative exponents are rejected.
+    descending.  Each term is checked before any merging, so a term that
+    cancels is checked too.
     """
     acc: dict[int, int] = {}
     for e, c in terms:
-        if e < 0:
-            raise ValueError(f"negative exponent {e}")
+        _checked_term(e, c)
         acc[e] = acc.get(e, 0) + c
     merged = tuple(
         (e, acc[e]) for e in sorted(acc, reverse=True) if acc[e] != 0
@@ -166,7 +179,7 @@ def dilatation_poly(c) -> SparsePoly:
 
 
 def family_poly(g: int, p: int) -> SparsePoly:
-    """The (g, p) family polynomial, canonical for all g, p >= 0.
+    """The (g, p) family polynomial, canonical for all int g, p >= 0.
 
     The canonical form is built directly, without ``make_poly``.  The middle
     exponents 2p+1, p+g+1 and 2g+1 lie strictly between 0 and 2p+2g+2, and
@@ -174,8 +187,8 @@ def family_poly(g: int, p: int) -> SparsePoly:
     with h = max(p, g) and k = min(p, g); when p == g all three are 2g+1
     and merge into the one term (2g+1, -4).
     """
-    if g < 0 or p < 0:
-        raise ValueError("g and p must be nonnegative")
+    _int_arg(g, "genus g")
+    _int_arg(p, "p")
     if p == g:
         middle = ((2 * g + 1, -4),)
     else:

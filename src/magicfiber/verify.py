@@ -11,7 +11,8 @@ every suite: the two sign variations of every dilatation polynomial are
 proved in ``polynomials.dilatation_poly`` and counted by ``rootcount``
 alone, and a class that the cusp symmetry maps onto a checked one is not
 checked again.  The oracles are independent of the code they check: the
-``star`` oracles factor 2g+1 with their own sieve.  ``asymptotics`` is
+``star`` oracles factor 2g+1 with their own sieve, and ``bounds`` decides
+the primitivity of a candidate p by its own gcd.  ``asymptotics`` is
 imported by ``suite_asymp`` alone, so the other suites do not load it.
 Suites report no timings, so their output is deterministic.
 """
@@ -321,9 +322,11 @@ def suite_bounds(
     The tables run over n = 3..n_max.  Witnesses and gaps: every row of
     ``upper_bound_table`` has the largest primitive candidate p (with
     2p+1 <= n <= 2p+4) as its witness, and the table has a no-witness row
-    iff condition (*) fails.  Monotonicity: the certified brackets of the
-    table's distinct witnesses are strictly ordered, lambda_q < lambda_p
-    for witnesses p < q; a pair the brackets cannot separate fails.  Every
+    iff condition (*) fails.  The suite decides primitivity itself, by
+    gcd(2g+1, p+g+1) = 1, so a wrong ``family_class`` shows as a wrong
+    witness.  Monotonicity: the certified brackets of the table's distinct
+    witnesses are strictly ordered, lambda_q < lambda_p for witnesses
+    p < q; a pair the brackets cannot separate fails.  Every
     primitive p >= 1 up to (n_max - 1) // 2 is a witness, so the pairs
     cover both candidates of each row where both qualify, but for p = 0 at
     n = 3, 4.  The range 3..500 holds a full period 2(2g+1) of n for every
@@ -337,7 +340,7 @@ def suite_bounds(
         for row in table:
             top = (row.n - 1) // 2
             want = next(
-                (p for p in (top, top - 1) if p >= 0 and family.family_class(g, p).primitive),
+                (p for p in (top, top - 1) if p >= 0 and math.gcd(2 * g + 1, p + g + 1) == 1),
                 None,
             )
             got = row.record.witness_p if row.record else None

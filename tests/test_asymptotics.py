@@ -316,14 +316,15 @@ def test_near_tie_inside_a_block_still_raises():
 
 
 @pytest.mark.parametrize(
-    "sweep, bad_points",
+    "sweep, bad_points, text",
     [
-        (lambda g: bracket_check(g, "0.5", "2.0", 2, 10), ()),
-        (lambda g, m=10: ratio_table(g, 2, 4, [10, m], jobs=2), (-1, 10.5, True)),
+        # m is the top of the range [2, m]
+        (lambda g, m=10: bracket_check(g, "0.5", "2.0", 2, m), (1, 10.5, True), "int m_hi >= 2"),
+        (lambda g, m=10: ratio_table(g, 2, 4, [10, m], jobs=2), (-1, 10.5, True), "int m >= 0"),
     ],
     ids=["bracket_check", "ratio_table"],
 )
-def test_only_an_int_genus_is_taken(monkeypatch, sweep, bad_points):
+def test_only_an_int_genus_is_taken(monkeypatch, sweep, bad_points, text):
     def refused(*args):
         raise AssertionError("the sweep began")
 
@@ -333,7 +334,7 @@ def test_only_an_int_genus_is_taken(monkeypatch, sweep, bad_points):
         with pytest.raises(ValueError, match="genus"):
             sweep(g)
     for m in bad_points:
-        with pytest.raises(ValueError, match="int m >= 0"):
+        with pytest.raises(ValueError, match=text):
             sweep(2, m)
 
 

@@ -294,3 +294,47 @@ def test_bound_table_work_is_pinned(g, calls, kernel_calls):
     assert len(kernel_calls) == calls
     off = [c for c in kernel_calls if c[2] != max(roots.DEFAULT_BITS, c[1] + 64)]
     assert off == []
+
+
+# Each entry point with its integer arguments; the bad value goes in at
+# position i, the others stay valid.
+ENTRY_POINTS = [
+    pytest.param(family_class, (2, 3), id="family_class"),
+    pytest.param(family_fiber_data, (2, 3), id="family_fiber_data"),
+    pytest.param(no_one_prong, (2, 3), id="no_one_prong"),
+    pytest.param(filled_variants, (2, 3), id="filled_variants"),
+    pytest.param(family_dilatation, (2, 3), id="family_dilatation"),
+    pytest.param(family_poly, (2, 3), id="family_poly"),
+    pytest.param(condition_star, (7,), id="condition_star"),
+    pytest.param(condition_star_brute, (7,), id="condition_star_brute"),
+    pytest.param(condition_star_star, (7,), id="condition_star_star"),
+    pytest.param(family.bound_row, (2, 7), id="bound_row"),
+    pytest.param(upper_bound_table, (2, 3, 9), id="upper_bound_table"),
+]
+
+
+@pytest.mark.parametrize("fn, args", ENTRY_POINTS)
+def test_only_int_arguments_are_taken(fn, args, monkeypatch):
+    def refused(*a, **kw):
+        raise AssertionError("a root was isolated")
+
+    monkeypatch.setattr(family, "unique_root_gt1", refused)
+    for i, good in enumerate(args):
+        for bad in (float(good), True, str(good), -1):
+            with pytest.raises(ValueError, match=f"need an int .* not {bad!r}"):
+                fn(*args[:i], bad, *args[i + 1:])
+
+
+def test_family_messages_name_the_argument():
+    with pytest.raises(ValueError, match=r"^need an int genus g >= 0, not -1$"):
+        family_class(-1, 0)
+    with pytest.raises(ValueError, match=r"^need an int p >= 0, not 3\.5$"):
+        family_poly(2, 3.5)
+    with pytest.raises(ValueError, match=r"^need an int genus g >= 2, not 7\.0$"):
+        condition_star(7.0)
+    with pytest.raises(ValueError, match=r"^need an int n >= 0, not 7\.0$"):
+        family.bound_row(2, 7.0)
+    with pytest.raises(ValueError, match=r"^bound tables are stated for g >= 2$"):
+        upper_bound_table(1, 3, 5)
+    # g = 0 is a valid genus with no witness at n = 3
+    assert family.bound_row(0, 3).record is None

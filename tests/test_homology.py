@@ -18,7 +18,7 @@ from magicfiber import (
     is_primitive,
     thurston_norm,
 )
-from magicfiber.homology import MAX_COORD
+from magicfiber.homology import MAX_COORD, as_fibered_class
 
 
 @st.composite
@@ -239,9 +239,18 @@ class TestOneValidation:
             ((MAX_COORD + 1, 1, 0), ValueError),  # in the cone and primitive but for its size
             ((1, 0, 0), NotInConeError),
             ((2, 4, 0), NotPrimitiveError),
+            ((True, 2, 0), TypeError),  # would read as (1, 2, 0): in the cone, primitive
         ],
     )
     def test_tuple_errors(self, fn, c, error):
         with pytest.raises(error) as info:
             fn(c)
         assert info.type is error
+
+    @pytest.mark.parametrize(
+        "fn", [thurston_norm, in_fibered_cone, is_primitive, as_fibered_class]
+    )
+    @pytest.mark.parametrize("c", [(True, 2, 0), (1, 2.0, 0), (1, 2, False)])
+    def test_every_reader_refuses_a_non_int_coordinate(self, fn, c):
+        with pytest.raises(TypeError, match="coordinates must be integers"):
+            fn(c)

@@ -95,6 +95,7 @@ class TestDilatationPoly:
         [
             ((3, 1, 2.5), TypeError),
             ((MAX_COORD + 1, 1, 0), ValueError),  # in the cone but for its size
+            ((True, 2, 0), TypeError),
         ],
     )
     def test_tuple_errors(self, c, error):

@@ -19,6 +19,7 @@ from magicfiber import (
     bound_row,
     dilatation_poly,
     fiber_data,
+    make_poly,
     unique_root_gt1,
 )
 from magicfiber.asymptotics import _ratio_row
@@ -35,6 +36,7 @@ class TestFiberedClass:
             ((1, None, 0), TypeError, "coordinates must be integers, got None"),
             ((0, 0, MAX_COORD + 1), ValueError,
              f"coordinate {MAX_COORD + 1} exceeds the supported range 2**62"),
+            ((True, 2, 0), TypeError, "coordinates must be integers, got True"),
         ],
     )
     def test_construction_errors(self, coords, error, text):
@@ -80,6 +82,25 @@ class TestSparsePoly:
             SparsePoly(terms)
         with pytest.raises(ValueError, match=re.escape(text)):
             SparsePoly(((1, 1),))._replace(terms=terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [((2.5, 1), (0, -1)), ((2, 1.0), (0, -1)), ((True, 1),), ((1, True),)],
+    )
+    def test_non_int_terms_rejected(self, terms):
+        text = "exponents and coefficients must be integers, got "
+        with pytest.raises(TypeError, match=re.escape(text + repr(terms[0]))):
+            SparsePoly(terms)
+        with pytest.raises(TypeError, match=re.escape(text)):
+            SparsePoly(((1, 1),))._replace(terms=terms)
+        with pytest.raises(TypeError, match=re.escape(text)):
+            make_poly(terms)
+
+    def test_make_poly_checks_a_term_that_cancels(self):
+        with pytest.raises(TypeError):
+            make_poly([(2.5, 1), (2.5, -1)])
+        with pytest.raises(ValueError, match="negative exponent -1"):
+            make_poly([(-1, 1), (-1, -1)])
 
     def test_fields_cannot_be_set(self):
         with pytest.raises(AttributeError):

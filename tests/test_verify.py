@@ -47,6 +47,12 @@ def _smaller_p_witness(orig):
     return row
 
 
+def _calls_7_4_primitive(orig):
+    # gcd(2g+1, p+g+1) = gcd(15, 12) = 3, yet the class reads as primitive,
+    # so p = 4 wins the rows n = 9 and 10 of g = 7
+    return lambda g, p: orig(g, p)._replace(primitive=True) if (g, p) == (7, 4) else orig(g, p)
+
+
 def _not_decreasing(orig):
     # odd p get the bracket of p + 1, so the witnesses 3 and 4 of g = 2 tie
     return lambda g, p, tol=roots.DEFAULT_TOL, **kw: orig(g, p + p % 2, tol, **kw)
@@ -249,6 +255,10 @@ CASES = [
     pytest.param(
         "bounds", family, "upper_bound_table", _spurious_gap,
         "g=2: no witness for n in [12], yet (*) holds", id="bounds-spurious-gap",
+    ),
+    pytest.param(
+        "bounds", family, "family_class", _calls_7_4_primitive,
+        "g=7, n=9: witness p=4, largest qualifying p=3", id="bounds-primitivity",
     ),
 ]
 
