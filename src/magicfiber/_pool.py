@@ -1,4 +1,4 @@
-"""The one process-pool policy of the package's sweeps."""
+"""The sweep-size guard of every sweep, and the process pool of the bound tables."""
 
 from __future__ import annotations
 

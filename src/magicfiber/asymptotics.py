@@ -26,9 +26,10 @@ import functools
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
-from ._pool import check_tasks, pmap
+from ._pool import MAX_TASKS, check_tasks
 from .homology import _int_arg
 from .polynomials import family_poly
 from .roots import (
@@ -297,19 +298,22 @@ def _ratio_row(g: int, m: int, q: Fraction, v: Fraction, tol) -> RatioRow:
     return RatioRow(m=m, n=n, root=root, ratio_lo=lo, ratio_hi=hi)
 
 
-def ratio_table(g: int, q, v, m_list, tol=DEFAULT_TOL, jobs: int = 1) -> RatioTable:
+def ratio_table(g: int, q, v, m_list, tol=DEFAULT_TOL) -> RatioTable:
     """Normalized-entropy ratios at genus g over the given m values (order preserved).
 
-    A genus or an m that is not an int >= 0 (a bool or a float is not
-    taken), q = 0, or a q*m+v not above 1 raises ValueError, before any
-    worker starts.
+    The rows are built in this process.  More than ``MAX_TASKS`` m values
+    raise ``PrecisionError`` (``m_list`` is read no further), and a genus
+    or an m that is not an int >= 0 (a bool or a float is not taken),
+    q = 0, or a q*m+v not above 1 raises ValueError, before any root is
+    isolated.
     """
     _int_arg(g, "genus g")
     q = _as_fraction(q)
     v = _as_fraction(v)
     if q == 0:
         raise ValueError("q must be nonzero")
-    ms = list(m_list)
+    ms = list(islice(m_list, MAX_TASKS + 1))
+    check_tasks(len(ms))
     for m in ms:
         _int_arg(m, "m")
         n = q * m + v
@@ -318,7 +322,7 @@ def ratio_table(g: int, q, v, m_list, tol=DEFAULT_TOL, jobs: int = 1) -> RatioTa
         if n > sys.float_info.max:  # _ratio_bounds takes float(n)
             raise PrecisionError(f"q*m+v exceeds the float range (at m={m})")
     tol = _as_tol(tol)
-    rows = pmap(_ratio_row, ((g, m, q, v, tol) for m in ms), jobs)
+    rows = [_ratio_row(g, m, q, v, tol) for m in ms]
     decreasing = all(
         rows[i + 1].ratio_hi < rows[i].ratio_lo for i in range(len(rows) - 1)
     )

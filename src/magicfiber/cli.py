@@ -344,7 +344,7 @@ def cmd_asymp_ratio(args):
 
     tol = _as_tol(args.tol)
     points = _parse_points(args.points)
-    table = ratio_table(args.genus, args.q, args.v, points, tol, jobs=args.jobs)
+    table = ratio_table(args.genus, args.q, args.v, points, tol)
     places = _value_places(tol)
     rows = [
         {
@@ -368,7 +368,7 @@ def cmd_asymp_ratio(args):
 def cmd_verify(args):
     from .verify import run_suites
 
-    results = run_suites(args.suites, jobs=args.jobs)
+    results = run_suites(args.suites)
     rows = [{"suite": r.name, "passed": r.passed, "detail": r.detail} for r in results]
     rec = _record(args, {"suites": " ".join(args.suites)}, COLUMNS["verify"], rows)
     return rec, 0 if all(r.passed for r in results) else 1
@@ -387,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default="plain", help="output format")
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=_int_at_least(1), default=1,
-                      help="worker processes (at least 1, capped at the CPU count); "
-                           "never affects output bytes")
+                      help="worker processes for bound tables (at least 1, capped at "
+                           "the CPU count); asymp and verify accept it and run in this "
+                           "process; never affects output bytes")
 
     parser = argparse.ArgumentParser(
         prog="magicfiber",

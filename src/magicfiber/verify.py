@@ -315,7 +315,6 @@ def suite_star(equiv_max: int = 10_000, brute_max: int = 2_000) -> SuiteResult:
 def suite_bounds(
     gs: tuple[int, ...] = tuple(range(2, 10)),
     n_max: int = 500,
-    jobs: int = 1,
 ) -> SuiteResult:
     """The two theorems behind the bound tables (``family`` module docstring).
 
@@ -335,7 +334,7 @@ def suite_bounds(
     failures = []
     pairs = rows = 0
     for g in gs:
-        table = family.upper_bound_table(g, 3, n_max, jobs=jobs)
+        table = family.upper_bound_table(g, 3, n_max)
         rows += len(table)
         for row in table:
             top = (row.n - 1) // 2
@@ -368,7 +367,7 @@ def suite_bounds(
     )
 
 
-def suite_asymp(jobs: int = 1) -> SuiteResult:
+def suite_asymp() -> SuiteResult:
     """Certified asymptotic trends for the g=2 family.
 
     The normalized ratios for (q, v) = (2, 4) climb toward their limit 2
@@ -379,12 +378,12 @@ def suite_asymp(jobs: int = 1) -> SuiteResult:
     from . import asymptotics
 
     failures = []
-    table = asymptotics.ratio_table(2, 2, 4, [10, 100, 1000, 10000], jobs=jobs)
+    table = asymptotics.ratio_table(2, 2, 4, [10, 100, 1000, 10000])
     if not table.strictly_increasing:
         failures.append("(2,4)-ratios are not certified strictly increasing")
     if not all(r.ratio_hi < 2.0 for r in table.rows):
         failures.append("(2,4)-ratios are not all below the limit 2")
-    unit = asymptotics.ratio_table(2, 1, 0, [2**k for k in range(4, 15)], jobs=jobs)
+    unit = asymptotics.ratio_table(2, 1, 0, [2**k for k in range(4, 15)])
     devs = [abs((r.ratio_lo + r.ratio_hi) / 2 - 1.0) for r in unit.rows]
     if not all(r.ratio_lo > 0 for r in unit.rows):
         failures.append("(1,0)-ratios are not all positive")
@@ -404,7 +403,7 @@ def _result(name, failures, scope, **counts) -> SuiteResult:
     return SuiteResult(name, not failures, "; ".join(failures[:6]) or scope, counts)
 
 
-SUITES: dict[str, Callable[..., SuiteResult]] = {
+SUITES: dict[str, Callable[[], SuiteResult]] = {
     "roots": suite_roots,
     "identity": suite_identity,
     "topology": suite_topology,
@@ -415,7 +414,7 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 }
 
 
-def run_suites(names, jobs: int = 1) -> list[SuiteResult]:
+def run_suites(names) -> list[SuiteResult]:
     """Run the named suites, in the order given.
 
     ``names`` is one suite name or a sequence of them; "all" alone runs every
@@ -430,7 +429,4 @@ def run_suites(names, jobs: int = 1) -> list[SuiteResult]:
     if unknown:
         raise ValueError(f"unknown suites: {unknown}; choose from {list(SUITES)}")
     # Looked up at call time, so a wrapper installed in SUITES is the one run.
-    return [
-        SUITES[name](jobs=jobs) if name in ("bounds", "asymp") else SUITES[name]()
-        for name in names
-    ]
+    return [SUITES[name]() for name in names]

@@ -320,7 +320,7 @@ def test_near_tie_inside_a_block_still_raises():
     [
         # m is the top of the range [2, m]
         (lambda g, m=10: bracket_check(g, "0.5", "2.0", 2, m), (1, 10.5, True), "int m_hi >= 2"),
-        (lambda g, m=10: ratio_table(g, 2, 4, [10, m], jobs=2), (-1, 10.5, True), "int m >= 0"),
+        (lambda g, m=10: ratio_table(g, 2, 4, [10, m]), (-1, 10.5, True), "int m >= 0"),
     ],
     ids=["bracket_check", "ratio_table"],
 )
@@ -329,7 +329,6 @@ def test_only_an_int_genus_is_taken(monkeypatch, sweep, bad_points, text):
         raise AssertionError("the sweep began")
 
     monkeypatch.setattr(asymptotics, "unique_root_gt1", refused)
-    monkeypatch.setattr(asymptotics, "pmap", refused)
     for g in (-1, 2.0, "2", True):
         with pytest.raises(ValueError, match="genus"):
             sweep(g)
@@ -363,11 +362,28 @@ def test_oversized_range_is_refused_before_any_work(monkeypatch):
     with pytest.raises(AssertionError, match="the sweep began"):
         bracket_check(2, "0.9", "1.1", 2, MAX_TASKS + 1)
 
+    def points():  # fails the test if read past its first MAX_TASKS + 1 values
+        yield from range(2, MAX_TASKS + 3)
+        raise AssertionError("the points were read past the bound")
 
-def test_long_sweep_runs_inline_at_any_jobs(monkeypatch):
+    with pytest.raises(PrecisionError, match="memory bound"):
+        ratio_table(2, 2, 4, points())
+    with pytest.raises(AssertionError, match="the sweep began"):
+        ratio_table(2, 2, 4, range(2, MAX_TASKS + 2))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asymp", "bracket", "-g", "6", "--c1", "0.5", "--c2", "2.0", "--m-range", "2..10000"],
+        ["asymp", "ratio", "-g", "2", "--points", "10000,100000,300000,1000000"],
+        ["verify", "asymp", "bounds"],
+    ],
+    ids=["bracket", "ratio", "verify"],
+)
+def test_long_sweep_runs_inline_at_any_jobs(monkeypatch, argv):
     # --jobs is accepted, but the sweep runs in this process: the same roots
     # isolated and the same bytes at --jobs 1 and 2, and no pool
-    argv = ["asymp", "bracket", "-g", "6", "--c1", "0.5", "--c2", "2.0", "--m-range", "2..10000"]
     isolations = []
     isolate = asymptotics.unique_root_gt1
 
@@ -379,7 +395,6 @@ def test_long_sweep_runs_inline_at_any_jobs(monkeypatch):
         raise AssertionError("a pool was used")
 
     monkeypatch.setattr(asymptotics, "unique_root_gt1", counted)
-    monkeypatch.setattr(asymptotics, "pmap", refused)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refused)
     outs, counts = {}, {}
     for jobs in (1, 2):

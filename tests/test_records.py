@@ -1,8 +1,9 @@
 """The result records: immutable NamedTuples, checked where a rule applies.
 
 ``FiberedClass`` and ``SparsePoly`` check their fields on every
-construction, ``_replace`` and unpickling included.  Records cross the
-``--jobs`` process pool by pickle, so they must survive a round trip.
+construction, ``_replace`` and unpickling included.  ``bounds`` rows cross
+the ``--jobs`` process pool by pickle, so they must survive a round trip;
+the asymptotics records keep their round trips too, as public values.
 """
 
 import doctest

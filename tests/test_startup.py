@@ -5,6 +5,8 @@ first access.  The CLI imports the asymptotics, family and verify modules
 inside the subcommands that run them (``verify`` imports asymptotics inside
 ``suite_asymp`` alone), and the records are NamedTuples, so
 ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) is never imported.
+Only ``bounds`` starts worker processes: at ``--jobs 2``, ``asymp`` and
+``verify`` load neither ``concurrent.futures.process`` nor ``multiprocessing``.
 Each check runs in a fresh interpreter and looks only at the modules the
 statement adds to those the bare interpreter already has.
 """
@@ -21,6 +23,7 @@ import magicfiber
 from magicfiber import cli, verify
 
 HEAVY = {"dataclasses", "magicfiber.family", "magicfiber.verify", "magicfiber.sturm"}
+POOL = {"concurrent.futures.process", "multiprocessing"}
 
 
 def _added_modules(statement: str) -> set[str]:
@@ -39,6 +42,17 @@ def _added_modules(statement: str) -> set[str]:
     return set(proc.stdout.split())
 
 
+def _cli_modules(argv: list[str]) -> set[str]:
+    """The modules that ``cli.main(argv)`` adds in a fresh interpreter."""
+    return _added_modules(
+        "import contextlib, io\n"
+        "from magicfiber import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "assert code == 0, code"
+    )
+
+
 def test_package_import_loads_no_submodule():
     assert _added_modules("import magicfiber") == {"magicfiber"}
 
@@ -54,27 +68,30 @@ def test_cli_import_loads_no_subcommand_code():
     ids=["ratio", "bracket"],
 )
 def test_asymp_loads_only_asymptotics(argv):
-    added = _added_modules(
-        "import contextlib, io\n"
-        "from magicfiber import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main({argv!r})\n"
-        "assert code == 0, code"
-    )
+    added = _cli_modules(argv)
     assert "magicfiber.asymptotics" in added
     assert not added & HEAVY
 
 
 def test_verify_roots_loads_no_asymptotics():
-    added = _added_modules(
-        "import contextlib, io\n"
-        "from magicfiber import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['verify', 'roots'])\n"
-        "assert code == 0, code"
-    )
+    added = _cli_modules(["verify", "roots"])
     assert "magicfiber.verify" in added
     assert "magicfiber.asymptotics" not in added
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["asymp", "ratio", "--points", "10,100,1000,10000"], ["verify", "asymp"]],
+    ids=["ratio", "verify"],
+)
+def test_asymp_and_verify_load_no_pool_at_two_jobs(argv):
+    assert not _cli_modules(argv + ["--jobs", "2"]) & POOL
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: bounds runs inline")
+def test_bounds_loads_the_pool_at_two_jobs():
+    added = _cli_modules(["bounds", "-g", "2", "-n", "3..40", "--tol", "1e-30", "--jobs", "2"])
+    assert POOL <= added
 
 
 class TestExports:
