@@ -29,18 +29,19 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from ._pool import MAX_TASKS, check_tasks
 from .homology import _int_arg
 from .polynomials import family_poly
 from .roots import (
     DEFAULT_MAX_BITS,
     DEFAULT_TOL,
+    MAX_TASKS,
     CertifiedRoot,
     PrecisionError,
     _as_fraction,
     _as_tol,
     _certified_sign,
     as_dyadic,
+    check_tasks,
     unique_root_gt1,
 )
 

@@ -42,7 +42,7 @@ from .homology import (
     thurston_norm,
 )
 from .polynomials import dilatation_poly
-from .roots import DEFAULT_MAX_BITS, PrecisionError, _as_tol, unique_root_gt1
+from .roots import DEFAULT_MAX_BITS, PrecisionError, _as_tol, check_tasks, unique_root_gt1
 
 # Each cmd_* imports the asymptotics, family or verify code it runs when it is
 # called, so an invocation loads only its own subcommand's modules.  The
@@ -240,12 +240,12 @@ def cmd_class(args):
     inputs = fc._asdict()
     cells = {**inputs, "norm": thurston_norm(fc), "in_cone": in_fibered_cone(fc)}
     outcome = 0
-    if not args.norm_only and fc.coords() == (0, 0, 0):
+    if not args.norm_only and tuple(fc) == (0, 0, 0):
         outcome = "the zero class is not fibered (primitivity undefined)"
     elif not args.norm_only:
         cells["primitive"] = is_primitive(fc)
         if not (cells["in_cone"] and cells["primitive"]):
-            outcome = (f"{fc.coords()} has no fiber data "
+            outcome = (f"{tuple(fc)} has no fiber data "
                        "(needs a primitive class in the open cone); "
                        "use --norm-only to silence")
         else:
@@ -260,7 +260,6 @@ def cmd_class(args):
 
 
 def cmd_family(args):
-    from ._pool import check_tasks
     from .family import family_class, family_dilatation, family_fiber_data
 
     tol = _as_tol(args.tol)
@@ -306,7 +305,6 @@ def cmd_bounds(args):
 
 
 def cmd_star(args):
-    from ._pool import check_tasks
     from .family import condition_star
 
     check_tasks(args.max - 1)

@@ -39,9 +39,9 @@ multiples of each prime of m.
 from __future__ import annotations
 
 import math
+import os
 from typing import NamedTuple
 
-from ._pool import pmap
 from .homology import FiberData, FiberedClass, NotPrimitiveError, _int_arg
 from .polynomials import family_poly
 from .roots import (
@@ -49,6 +49,7 @@ from .roots import (
     DEFAULT_TOL,
     CertifiedRoot,
     _as_tol,
+    check_tasks,
     unique_root_gt1,
 )
 
@@ -272,13 +273,27 @@ def upper_bound_table(
 ) -> list[BoundRow]:
     """Bound rows for every n in [n_min, n_max] (absence is data, not error).
 
-    A g that is not an int >= 2, or an n_min or n_max that is not an int
-    with 1 <= n_min <= n_max, raises ValueError before any worker starts.
+    A g that is not an int >= 2, an n_min or n_max that is not an int with
+    1 <= n_min <= n_max, or a ``jobs`` that is not an int >= 1 raises
+    ValueError, and more than ``MAX_TASKS`` rows raise ``PrecisionError``,
+    before any row is computed.  The rows run on
+    min(jobs, rows, os.cpu_count()) worker processes, in order; with one
+    worker they run inline, in this process.
     """
     _int_arg(g, "genus g")
     if g < 2:
         raise ValueError("bound tables are stated for g >= 2")
     _int_arg(n_min, "n_min", 1)
     _int_arg(n_max, "n_max", n_min)
+    _int_arg(jobs, "jobs", 1)
     tol = _as_tol(tol)
-    return pmap(bound_row, ((g, n, tol) for n in range(n_min, n_max + 1)), jobs)
+    ns = range(n_min, n_max + 1)
+    check_tasks(len(ns))
+    workers = min(jobs, len(ns), os.cpu_count() or 1)
+    if workers <= 1:
+        return [bound_row(g, n, tol) for n in ns]
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = max(1, len(ns) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(bound_row, [g] * len(ns), ns, [tol] * len(ns), chunksize=chunk))

@@ -123,9 +123,6 @@ class FiberedClass(_Coords):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def coords(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
-
     def __mul__(self, k: int) -> "FiberedClass":
         return FiberedClass(k * self.x, k * self.y, k * self.z)
 
@@ -205,11 +202,12 @@ def _require_fiber(c) -> tuple[int, int, int]:
 def boundary_counts(c) -> tuple[int, int, int]:
     """Boundary components of the fiber on each cusp torus.
 
-    (gcd(x, y+z), gcd(y, z+x), gcd(z, x+y)), with gcd(0, w) = |w|.
-    Requires a primitive class in the open cone.
+    The three counts of ``fiber_data(c)``: (gcd(x, y+z), gcd(y, z+x),
+    gcd(z, x+y)), with gcd(0, w) = |w|.  Requires a primitive class in the
+    open cone.
     """
-    x, y, z = _require_fiber(c)
-    return (math.gcd(x, y + z), math.gcd(y, z + x), math.gcd(z, x + y))
+    d = fiber_data(c)
+    return d.b_alpha, d.b_beta, d.b_gamma
 
 
 def fiber_data(c) -> FiberData:

@@ -83,11 +83,6 @@ class SparsePoly(_Terms):
             raise ValueError("the zero polynomial has no degree")
         return self.terms[0][0]
 
-    def leading_coefficient(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.terms[0][1]
-
     def constant_term(self) -> int:
         if self.terms and self.terms[-1][0] == 0:
             return self.terms[-1][1]

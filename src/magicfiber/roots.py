@@ -50,6 +50,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._kernel import eval_enclosure
+from .homology import _int_arg
 from .polynomials import SparsePoly
 
 __all__ = [
@@ -71,6 +72,18 @@ DEFAULT_TOL = Fraction(1, 10**12)
 
 class PrecisionError(ArithmeticError):
     """Sign certification failed below the configured precision ceiling."""
+
+
+# A sweep holds every result until it returns.  A `bounds` row peaks at
+# about 2.9 KB at tol 1e-30 and 4.4 KB at 1e-100 (json output, one worker),
+# so a sweep of this many tasks stays under half a GiB.
+MAX_TASKS = 100_000
+
+
+def check_tasks(n: int) -> None:
+    """Raise ``PrecisionError`` for a sweep of more than ``MAX_TASKS`` tasks."""
+    if n > MAX_TASKS:
+        raise PrecisionError(f"a sweep of more than {MAX_TASKS} tasks exceeds the memory bound")
 
 
 def as_dyadic(t) -> tuple[int, int]:
@@ -129,11 +142,10 @@ def evaluate_certified(f: SparsePoly, t, bits: int = DEFAULT_BITS) -> Enclosure:
     The sign of the result is certified whenever the enclosure excludes
     zero; otherwise callers escalate ``bits`` and retry.
     """
+    _int_arg(bits, "bits", 1)
     num, k = as_dyadic(t)
     if num <= 0:
         raise ValueError("evaluation point must be positive")
-    if bits < 1:
-        raise ValueError("bits must be positive")
     lo, hi = eval_enclosure(f.exponents(), f.coefficients(), num, k, bits)
     return Enclosure(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
@@ -193,7 +205,9 @@ def unique_root_gt1(
     is sign-certified, and none can land on the irrational root.
     ``PrecisionError`` is raised when a sign needs more than ``max_bits`` of
     precision, or when a bound on the bits of t**deg at a point exceeds it.
+    A ``max_bits`` that is not an int >= 1 raises ``ValueError`` first.
     """
+    _int_arg(max_bits, "max_bits", 1)
     tol = _as_tol(tol)
     exps = f.exponents()
     coeffs = f.coefficients()

@@ -188,7 +188,7 @@ def suite_topology(max_norm: int = 60, max_gp: int = 60) -> SuiteResult:
             if not fc.primitive:
                 continue
             pairs += 1
-            fd = _fiber_data(fc.fibered_class.coords(), failures)
+            fd = _fiber_data(tuple(fc.fibered_class), failures)
             if fd is not None and family.family_fiber_data(g, p) != fd:
                 failures.append(f"(g,p)=({g},{p}): closed form disagrees")
     return _result(

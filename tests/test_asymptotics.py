@@ -19,10 +19,9 @@ from magicfiber import (
     roots,
     unique_root_gt1,
 )
-from magicfiber._pool import MAX_TASKS
 from magicfiber.asymptotics import _block_ok, _dyadic_pow_cmp, _side
 from magicfiber.cli import main
-from magicfiber.roots import DEFAULT_MAX_BITS, PrecisionError
+from magicfiber.roots import DEFAULT_MAX_BITS, MAX_TASKS, PrecisionError
 
 # Frozen regression cells for the g=2 family, (q, v) = (2, 4), tol 1e-12;
 # derived once with the certified pipeline and cross-checked against exact

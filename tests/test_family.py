@@ -26,12 +26,12 @@ from magicfiber import (
 class TestFamilyClass:
     def test_g2_p0(self):
         fc = family_class(2, 0)
-        assert fc.fibered_class.coords() == (3, 1, -2)
+        assert tuple(fc.fibered_class) == (3, 1, -2)
         assert fc.primitive
 
     def test_g2_p2_not_primitive(self):
         fc = family_class(2, 2)
-        assert fc.fibered_class.coords() == (5, 5, 0)
+        assert tuple(fc.fibered_class) == (5, 5, 0)
         assert not fc.primitive
 
     def test_always_in_cone(self):
@@ -310,15 +310,25 @@ ENTRY_POINTS = [
     pytest.param(condition_star_star, (7,), id="condition_star_star"),
     pytest.param(family.bound_row, (2, 7), id="bound_row"),
     pytest.param(upper_bound_table, (2, 3, 9), id="upper_bound_table"),
+    pytest.param(
+        lambda g, n_min, n_max, jobs: upper_bound_table(g, n_min, n_max, jobs=jobs),
+        (2, 3, 9, 2),
+        id="upper_bound_table_jobs",
+    ),
+    pytest.param(
+        lambda g, p, max_bits: family_dilatation(g, p, max_bits=max_bits),
+        (2, 3, 64),
+        id="family_dilatation_max_bits",
+    ),
 ]
 
 
 @pytest.mark.parametrize("fn, args", ENTRY_POINTS)
 def test_only_int_arguments_are_taken(fn, args, monkeypatch):
     def refused(*a, **kw):
-        raise AssertionError("a root was isolated")
+        raise AssertionError("the kernel ran")
 
-    monkeypatch.setattr(family, "unique_root_gt1", refused)
+    monkeypatch.setattr(roots, "eval_enclosure", refused)
     for i, good in enumerate(args):
         for bad in (float(good), True, str(good), -1):
             with pytest.raises(ValueError, match=f"need an int .* not {bad!r}"):

@@ -114,7 +114,7 @@ class TestDilatationPoly:
     def test_shape_on_cone(self, x, y, z):
         f = dilatation_poly((x, y, z))
         assert f.degree() == x + y - z
-        assert f.leading_coefficient() == 1
+        assert f.terms[0][1] == 1
         assert f.constant_term() == 1
         assert f.at_one() == 2 - 4  # the four middle terms all evaluate to 1
 

@@ -1,14 +1,10 @@
-"""The sweeps' process-pool policy: validation, worker cap, order."""
+"""The bound table's process pool: validation, worker cap, chunks, order."""
 
 import concurrent.futures
 
 import pytest
 
-from magicfiber import PrecisionError, _pool
-
-
-def _pair(a, b):
-    return (a, b)
+from magicfiber import PrecisionError, family, roots, upper_bound_table
 
 
 class _FakeExecutor:
@@ -17,7 +13,7 @@ class _FakeExecutor:
     seen = []
 
     def __init__(self, max_workers):
-        self.seen.append(max_workers)
+        self.max_workers = max_workers
 
     def __enter__(self):
         return self
@@ -26,42 +22,54 @@ class _FakeExecutor:
         return False
 
     def map(self, fn, *iterables, chunksize=1):
-        assert chunksize >= 1
+        self.seen.append((self.max_workers, chunksize))
         return map(fn, *iterables)
 
 
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_rejects_fewer_than_one_job(jobs):
-    with pytest.raises(ValueError):
-        _pool.pmap(_pair, [(1, 2)], jobs)
+def _no_row(*args):
+    raise AssertionError("a row was computed")
 
 
-def test_worker_count_is_capped(monkeypatch):
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Three CPUs, the fake executor, and rows that are their (g, n, tol)."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakeExecutor)
-    monkeypatch.setattr(_pool.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(family.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(family, "bound_row", lambda g, n, tol: (g, n, tol))
     _FakeExecutor.seen = []
-    tasks = [(i, -i) for i in range(10)]
-    assert _pool.pmap(_pair, tasks, 10**6) == tasks
-    assert _FakeExecutor.seen == [3]
-    # fewer tasks than cores: one worker per task
-    assert _pool.pmap(_pair, tasks[:2], 10**6) == tasks[:2]
-    assert _FakeExecutor.seen == [3, 2]
-    # one task: no pool at all
-    assert _pool.pmap(_pair, tasks[:1], 10**6) == tasks[:1]
-    assert _FakeExecutor.seen == [3, 2]
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.0, True])
+def test_rejects_fewer_than_one_job(jobs, monkeypatch):
+    # 2.0 and True equal ints but are not ints, so they are refused too
+    monkeypatch.setattr(family, "bound_row", _no_row)
+    with pytest.raises(ValueError, match=f"^need an int jobs >= 1, not {jobs!r}$"):
+        upper_bound_table(2, 3, 9, jobs=jobs)
+
+
+def test_worker_count_is_capped(fake_pool):
+    tol = roots.DEFAULT_TOL
+    assert upper_bound_table(2, 3, 12, jobs=10**6) == [(2, n, tol) for n in range(3, 13)]
+    assert _FakeExecutor.seen == [(3, 1)]
+    # fewer rows than cores: one worker per row
+    assert upper_bound_table(2, 3, 4, jobs=10**6) == [(2, 3, tol), (2, 4, tol)]
+    assert _FakeExecutor.seen == [(3, 1), (2, 1)]
+    # one row: no pool at all
+    assert upper_bound_table(2, 3, 3, jobs=10**6) == [(2, 3, tol)]
+    assert _FakeExecutor.seen == [(3, 1), (2, 1)]
+
+
+def test_chunks_are_an_eighth_of_a_workers_share(fake_pool):
+    upper_bound_table(2, 1, 100, jobs=3)
+    upper_bound_table(2, 1, 100, jobs=2)
+    assert _FakeExecutor.seen == [(3, 100 // 24), (2, 100 // 16)]
 
 
 def test_task_cap_reads_no_further(monkeypatch):
-    monkeypatch.setattr(_pool, "MAX_TASKS", 5)
-    read = []
-
-    def tasks(n):
-        for i in range(n):
-            read.append(i)
-            yield (i, -i)
-
-    assert _pool.pmap(_pair, tasks(5), 1) == [(i, -i) for i in range(5)]
-    read.clear()
+    """More than ``roots.MAX_TASKS`` rows are refused before any row."""
+    monkeypatch.setattr(roots, "MAX_TASKS", 5)
+    monkeypatch.setattr(family, "bound_row", lambda g, n, tol: n)
+    assert upper_bound_table(2, 3, 7) == [3, 4, 5, 6, 7]
+    monkeypatch.setattr(family, "bound_row", _no_row)
     with pytest.raises(PrecisionError, match="more than 5 tasks"):
-        _pool.pmap(_pair, tasks(10**9), 1)
-    assert read == list(range(6))
+        upper_bound_table(2, 3, 8)

@@ -1,6 +1,7 @@
 """Tests for certified evaluation and root isolation."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -418,4 +419,16 @@ def test_size_guard_refuses_before_the_kernel(kernel_calls):
     _near_points_only(kernel_calls, f.degree(), 0)
     with pytest.raises(PrecisionError, match="ceiling"):
         unique_root_gt1(f)
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("bad", [-5, 0, 2.5, True, "64"])
+def test_only_int_bit_counts_are_taken(bad, kernel_calls):
+    # max_bits and bits follow the package's integer-argument rule, checked
+    # before any kernel call: -5 is a usage error, not a precision refusal
+    f = dilatation_poly((3, 1, -2))
+    with pytest.raises(ValueError, match=re.escape(f"need an int max_bits >= 1, not {bad!r}")):
+        unique_root_gt1(f, "1e-6", max_bits=bad)
+    with pytest.raises(ValueError, match=re.escape(f"need an int bits >= 1, not {bad!r}")):
+        evaluate_certified(f, 2, bits=bad)
     assert kernel_calls == []

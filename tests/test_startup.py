@@ -6,7 +6,8 @@ inside the subcommands that run them (``verify`` imports asymptotics inside
 ``suite_asymp`` alone), and the records are NamedTuples, so
 ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``) is never imported.
 Only ``bounds`` starts worker processes: at ``--jobs 2``, ``asymp`` and
-``verify`` load neither ``concurrent.futures.process`` nor ``multiprocessing``.
+``verify`` load neither ``concurrent.futures.process`` nor ``multiprocessing``,
+and neither does ``bounds`` at ``--jobs 1``, which runs its rows inline.
 Each check runs in a fresh interpreter and looks only at the modules the
 statement adds to those the bare interpreter already has.
 """
@@ -86,6 +87,12 @@ def test_verify_roots_loads_no_asymptotics():
 )
 def test_asymp_and_verify_load_no_pool_at_two_jobs(argv):
     assert not _cli_modules(argv + ["--jobs", "2"]) & POOL
+
+
+def test_bounds_loads_no_pool_at_one_job():
+    added = _cli_modules(["bounds", "-g", "2", "-n", "3..40", "--tol", "1e-30", "--jobs", "1"])
+    assert "magicfiber.family" in added
+    assert not added & POOL
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: bounds runs inline")
