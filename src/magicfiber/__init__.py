@@ -46,7 +46,6 @@ _EXPORTS = {
     "STURM_DEGREE_CAP": "sturm",
     "sturm_count": "sturm",
     "FamilyClass": "family",
-    "BoundRecord": "family",
     "BoundRow": "family",
     "family_class": "family",
     "family_fiber_data": "family",

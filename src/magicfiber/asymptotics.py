@@ -306,7 +306,10 @@ def ratio_table(g: int, q, v, m_list, tol=DEFAULT_TOL) -> RatioTable:
     raise ``PrecisionError`` (``m_list`` is read no further), and a genus
     or an m that is not an int >= 0 (a bool or a float is not taken),
     q = 0, or a q*m+v not above 1 raises ValueError, before any root is
-    isolated.
+    isolated.  So does a q*m+v outside the float range, as PrecisionError:
+    one above the largest double, or one whose q*m+v - 1 is below the
+    smallest normal double, where float(n - 1) would lose its precision or
+    the ratio would overflow.  Above that floor every ratio stays finite.
     """
     _int_arg(g, "genus g")
     q = _as_fraction(q)
@@ -322,6 +325,8 @@ def ratio_table(g: int, q, v, m_list, tol=DEFAULT_TOL) -> RatioTable:
             raise ValueError(f"q*m+v must exceed 1 (fails at m={m})")
         if n > sys.float_info.max:  # _ratio_bounds takes float(n)
             raise PrecisionError(f"q*m+v exceeds the float range (at m={m})")
+        if n - 1 < sys.float_info.min:  # and log1p(float(n - 1)), which must be normal
+            raise PrecisionError(f"q*m+v - 1 is below the normal float range (at m={m})")
     tol = _as_tol(tol)
     rows = [_ratio_row(g, m, q, v, tol) for m in ms]
     decreasing = all(

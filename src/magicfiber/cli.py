@@ -291,14 +291,14 @@ def cmd_bounds(args):
     table = upper_bound_table(args.genus, n_min, n_max, tol, jobs=args.jobs)
     rows = []
     for row in table:
-        entry = row.record
+        found = row.witness_p is not None
         rows.append({
             "n": row.n,
-            "status": "ok" if entry else "no_witness",
-            "witness_p": entry.witness_p if entry else None,
-            "filled": "+".join(entry.filled) if entry else None,
+            "status": "ok" if found else "no_witness",
+            "witness_p": row.witness_p,
+            "filled": "+".join(row.filled) if found else None,
             "pruned_p": ";".join(str(p) for p in row.pruned_p),
-            **_root_cells(entry.bound if entry else None, places),
+            **_root_cells(row.bound, places),
         })
     inputs = {"g": args.genus, "n": args.punctures}
     return _record(args, inputs, COLUMNS["bounds"], rows), 0

@@ -4,11 +4,15 @@ For g, p >= 0 the class (p+g+1, 2p+1, p-g) lies in the open fibered cone;
 when it is primitive (gcd(2g+1, p+g+1) = 1) its fiber is a genus-g surface
 with 2p+4 boundary components, most of them (2p+1, each 1-pronged) on the
 second cusp torus.  Capping the fiber boundaries on the other two cusps is
-dilatation-preserving whenever none of them is 1-pronged, which fails only
-for (g, p) in {(0,0), (0,1), (1,0)}; the four capping patterns realize every
-puncture count in {2p+1, ..., 2p+4}.  A table row for (g, n) considers the
-two p with n in that window, and its witness is the largest qualifying one,
-or "no witness" when both are pruned.
+dilatation-preserving whenever none of them is 1-pronged.  ``no_one_prong``
+reads that off the prongs of ``family_fiber_data``, and it fails only for
+(g, p) in {(0,0), (0,1), (1,0)}: the alpha components have (p+g+1)/2 prongs
+for odd p+g and p+g+1 for even, and the gamma components have p+3g+2 and
+(p+3g+2)/2, so a 1 needs p+g = 1 or p = g = 0.  The four capping patterns
+realize every puncture count in {2p+1, ..., 2p+4}.  A table row for (g, n)
+considers the two p with n in that window, top = (n-1)//2 and top - 1, and
+its witness is the largest qualifying one, or "no witness" when both are
+pruned.
 
 The largest wins because lambda_p strictly decreases in p.  The classes are
 a + p*b, a = (g+1, 1, -g), b = (1, 2, 1), and for real s >= 0 the class
@@ -55,7 +59,6 @@ from .roots import (
 
 __all__ = [
     "FamilyClass",
-    "BoundRecord",
     "BoundRow",
     "family_class",
     "family_fiber_data",
@@ -69,9 +72,6 @@ __all__ = [
     "upper_bound_table",
 ]
 
-ONE_PRONG_EXCEPTIONS = frozenset({(0, 0), (0, 1), (1, 0)})
-
-
 class FamilyClass(NamedTuple):
     g: int
     p: int
@@ -79,25 +79,19 @@ class FamilyClass(NamedTuple):
     primitive: bool
 
 
-class BoundRecord(NamedTuple):
-    """A certified entry "delta_{g,n} <= bound" with its witness.
+class BoundRow(NamedTuple):
+    """One table cell: the certified entry "delta_{g,n} <= bound" with its
+    witness p, or None in those three fields when every candidate p is pruned.
 
     ``filled`` names the cusps whose fiber boundaries are capped to bring
-    the puncture count of the witness fiber from 2p+4 down to n.
+    the puncture count of the witness fiber from 2p+4 down to n, and
+    ``pruned_p`` lists the pruned candidates in ascending order.
     """
 
-    g: int
     n: int
-    witness_p: int
-    filled: tuple[str, ...]
-    bound: CertifiedRoot
-
-
-class BoundRow(NamedTuple):
-    """One table cell: a record, or None with the pruned candidates listed."""
-
-    n: int
-    record: BoundRecord | None
+    witness_p: int | None
+    filled: tuple[str, ...] | None
+    bound: CertifiedRoot | None
     pruned_p: tuple[int, ...]
 
 
@@ -145,9 +139,10 @@ def family_fiber_data(g: int, p: int) -> FiberData:
 
 
 def no_one_prong(g: int, p: int) -> bool:
-    """True iff no capped boundary component is 1-pronged (filling-safe)."""
-    _require_primitive(g, p)
-    return (g, p) not in ONE_PRONG_EXCEPTIONS
+    """True iff no capped boundary component is 1-pronged (filling-safe):
+    neither the alpha nor the gamma components of the fiber."""
+    fd = family_fiber_data(g, p)
+    return 1 not in (fd.prongs_alpha, fd.prongs_gamma)
 
 
 def family_dilatation(
@@ -240,10 +235,6 @@ def condition_star_star(g: int) -> bool:
     return all(s > g - 2 for s in _least_bad_s(2 * g + 1))
 
 
-def _candidate_ps(n: int) -> list[int]:
-    return sorted({(n - i) // 2 for i in (1, 2, 3, 4) if n >= i and (n - i) % 2 == 0})
-
-
 def bound_row(g: int, n: int, tol=DEFAULT_TOL) -> BoundRow:
     """Certified bound for (g, n) from its largest qualifying p (lambda_p
     decreases in p, module docstring), or a no-witness row.
@@ -253,19 +244,14 @@ def bound_row(g: int, n: int, tol=DEFAULT_TOL) -> BoundRow:
     _int_arg(g, "genus g")
     _int_arg(n, "n")
     tol = _as_tol(tol)
-    candidates = []
-    pruned = []
-    for p in _candidate_ps(n):
-        if not family_class(g, p).primitive or not no_one_prong(g, p):
-            pruned.append(p)
-            continue
-        candidates.append(p)
-    record = None
-    if candidates:
-        p = candidates[-1]
-        filled = dict(filled_variants(g, p))[n]
-        record = BoundRecord(g, n, p, filled, family_dilatation(g, p, tol))
-    return BoundRow(n=n, record=record, pruned_p=tuple(pruned))
+    top = (n - 1) // 2  # the p >= 0 with 2p+1 <= n <= 2p+4 are top - 1 and top
+    ps = [p for p in (top - 1, top) if p >= 0]
+    pruned = tuple(p for p in ps if not family_class(g, p).primitive or not no_one_prong(g, p))
+    p = max(set(ps) - set(pruned), default=None)
+    if p is None:
+        return BoundRow(n, None, None, None, pruned)
+    filled = dict(filled_variants(g, p))[n]
+    return BoundRow(n, p, filled, family_dilatation(g, p, tol), pruned)
 
 
 def upper_bound_table(

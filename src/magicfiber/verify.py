@@ -342,20 +342,19 @@ def suite_bounds(
                 (p for p in (top, top - 1) if p >= 0 and math.gcd(2 * g + 1, p + g + 1) == 1),
                 None,
             )
-            got = row.record.witness_p if row.record else None
-            if got != want:
+            if row.witness_p != want:
                 failures.append(
-                    f"g={g}, n={row.n}: witness p={got}, largest qualifying p={want}"
+                    f"g={g}, n={row.n}: witness p={row.witness_p}, largest qualifying p={want}"
                 )
                 break
-        brackets = {row.record.witness_p: row.record.bound for row in table if row.record}
+        brackets = {row.witness_p: row.bound for row in table if row.witness_p is not None}
         ps = sorted(brackets)
         for p, q in zip(ps, ps[1:]):
             pairs += 1
             if not brackets[q].hi < brackets[p].lo:
                 failures.append(f"g={g}: brackets of p={p} and p={q} are not ordered")
                 break
-        gaps = [row.n for row in table if row.record is None]
+        gaps = [row.n for row in table if row.witness_p is None]
         holds = family.condition_star(g)[0]
         if gaps and holds:
             failures.append(f"g={g}: no witness for n in {gaps[:5]}, yet (*) holds")

@@ -429,12 +429,10 @@ class TestRatioTable:
             coarse.rows[0].ratio_hi - coarse.rows[0].ratio_lo
         )
 
-    def test_bounds_contain_the_mpmath_ratio_at_tight_tol(self):
-        # At tol 1e-20 the bracket is far narrower than a float's rounding of
-        # n*log(lambda)/log(n), so only the outward rounding keeps the ratio.
+    @staticmethod
+    def _assert_rows_hold_the_mpmath_ratio(table, g):
         mpmath = pytest.importorskip("mpmath")
-        fam = b_family(2)
-        table = ratio_table(2, 2, 4, [10**6, 10**6 + 3], tol=Fraction(1, 10**20))
+        fam = b_family(g)
 
         def mpf(x):
             return mpmath.mpf(x.numerator) / x.denominator
@@ -448,11 +446,35 @@ class TestRatioTable:
                     solver="anderson",
                 )
                 assert lo <= lam <= hi
-                ratio = n * mpmath.log(lam) / mpmath.log(n)
+                # log1p of the exact n - 1, which 200 bits of n may not hold
+                ratio = n * mpmath.log(lam) / mpmath.log1p(mpf(row.n - 1))
                 assert row.ratio_lo <= ratio <= row.ratio_hi, (
                     f"m={row.m}: {mpmath.nstr(ratio, 16)} outside "
                     f"[{row.ratio_lo!r}, {row.ratio_hi!r}]"
                 )
+
+    def test_bounds_contain_the_mpmath_ratio_at_tight_tol(self):
+        # At tol 1e-20 the bracket is far narrower than a float's rounding of
+        # n*log(lambda)/log(n), so only the outward rounding keeps the ratio.
+        table = ratio_table(2, 2, 4, [10**6, 10**6 + 3], tol=Fraction(1, 10**20))
+        self._assert_rows_hold_the_mpmath_ratio(table, 2)
+
+    def test_bounds_contain_the_mpmath_ratio_just_above_one(self):
+        # n - 1 = 1e-300 is a normal double: the ratio, near 3.4e299, is finite
+        table = ratio_table(2, Fraction("1e-300"), 1, [1])
+        assert table.rows[0].ratio_hi < 1e300
+        self._assert_rows_hold_the_mpmath_ratio(table, 2)
+
+    @pytest.mark.parametrize("q", ["1e-400", "1e-310"])
+    def test_n_minus_one_below_the_normal_floats_is_refused(self, q, monkeypatch):
+        # float(n - 1) would be 0 (a ZeroDivisionError) or subnormal (a ratio
+        # that overflows to inf), so the guard refuses before any isolation
+        def refused(*args, **kwargs):
+            raise AssertionError("a root was isolated")
+
+        monkeypatch.setattr(asymptotics, "unique_root_gt1", refused)
+        with pytest.raises(PrecisionError, match="below the normal float range"):
+            ratio_table(2, Fraction(q), 1, [1])
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -338,12 +338,16 @@ def _limit_address_space():
         (["asymp", "ratio", "-g", "2", "-q", "1e400", "-v", "0", "--points", "10"], 3),
         # the bracket's endpoints have about 5,000 decimal digits
         (["class", "1", "1", "0", "--tol", "1e-1500"], 0),
-        # sweeps past the pool's task cap are refused before a task list exists
+        # sweeps past roots.MAX_TASKS are refused before a task list exists
         (["bounds", "-g", "2", "-n", "3..100000000"], 3),
         (["asymp", "bracket", "--m-range", "2..100000000"], 3),
         # and so are row sweeps that never reach the pool
         (["star", "--max", "1000000000"], 3),
         (["family", "-g", "2", "--p-max", "100000000"], 3),
+        # n - 1 is below the smallest normal double, so float(n - 1) would
+        # be 0 or subnormal: the ratio guard refuses it before any isolation
+        (["asymp", "ratio", "-q", "1e-400", "-v", "1", "--points", "1"], 3),
+        (["asymp", "ratio", "-q", "1e-310", "-v", "1", "--points", "1"], 3),
     ],
 )
 def test_extreme_inputs_finish_in_bounded_memory(argv, code):

@@ -22,6 +22,9 @@ from magicfiber import (
     upper_bound_table,
 )
 
+# The primitive (g, p) whose fiber has a 1-pronged alpha or gamma component.
+ONE_PRONGED = {(0, 0), (0, 1), (1, 0)}
+
 
 class TestFamilyClass:
     def test_g2_p0(self):
@@ -89,19 +92,18 @@ class TestNoOnePromg:
         assert no_one_prong(1, 2)  # primitive complement of the exceptional set
         assert not no_one_prong(0, 0)
         assert not no_one_prong(1, 0)
+        # the module docstring's claim, with primitivity read off the gcd
+        failing = {
+            (g, p)
+            for g in range(61)
+            for p in range(61)
+            if math.gcd(2 * g + 1, p + g + 1) == 1 and not no_one_prong(g, p)
+        }
+        assert failing == ONE_PRONGED
 
     def test_non_primitive_rejected(self):
         with pytest.raises(NotPrimitiveError):
             no_one_prong(1, 1)  # gcd(3, 3) = 3
-
-    def test_matches_prong_data(self):
-        for g in range(0, 12):
-            for p in range(0, 12):
-                if not family_class(g, p).primitive:
-                    continue
-                fd = family_fiber_data(g, p)
-                expected = fd.prongs_alpha > 1 and fd.prongs_gamma > 1
-                assert no_one_prong(g, p) == expected
 
 
 class TestDilatation:
@@ -201,8 +203,7 @@ class TestConditionStarStar:
 class TestUpperBoundTable:
     def test_g2_n8_witness(self):
         rows = upper_bound_table(2, 8, 8)
-        rec = rows[0].record
-        assert rec is not None
+        rec = rows[0]
         assert rec.witness_p == 3  # p=2 pruned: gcd(5, 5) != 1
         assert rows[0].pruned_p == (2,)
         assert math.gcd(5, 3 + 2 + 1) == 1
@@ -214,8 +215,8 @@ class TestUpperBoundTable:
             p = (g + 1) + (2 * g + 1) * i
             n = 2 * p + 4
             rows = upper_bound_table(g, n, n)
-            rec = rows[0].record
-            assert rec is not None
+            rec = rows[0]
+            assert rec.witness_p is not None
             direct = family_dilatation(g, rec.witness_p)
             if rec.witness_p == p:
                 assert rec.bound.lo == direct.lo and rec.bound.hi == direct.hi
@@ -224,9 +225,8 @@ class TestUpperBoundTable:
                 assert rec.bound.lo <= family_dilatation(g, p).hi
 
     def test_n_reconstruction(self):
-        for row in upper_bound_table(3, 3, 60):
-            rec = row.record
-            assert rec is not None
+        for rec in upper_bound_table(3, 3, 60):
+            assert rec.witness_p is not None
             fd = family_fiber_data(3, rec.witness_p)
             n = fd.n_total
             for cusp in rec.filled:
@@ -237,7 +237,8 @@ class TestUpperBoundTable:
 
     def test_g7_has_no_witness_rows(self):
         rows = upper_bound_table(7, 3, 40)
-        missing = [row.n for row in rows if row.record is None]
+        missing = [row.n for row in rows if row.witness_p is None]
+        assert all(row.filled is row.bound is None for row in rows if row.n in missing)
         assert 5 in missing and 6 in missing
         assert any(row.pruned_p for row in rows)
 
@@ -251,7 +252,7 @@ class TestUpperBoundTable:
 
     def test_low_puncture_rows_allowed(self):
         rows = upper_bound_table(2, 1, 2)
-        assert all(row.record is not None for row in rows)
+        assert all(row.witness_p is not None for row in rows)
 
     def test_one_isolation_per_row_at_the_echoed_tol(self, monkeypatch):
         orig = family.family_dilatation
@@ -264,18 +265,25 @@ class TestUpperBoundTable:
 
         monkeypatch.setattr(family, "family_dilatation", counted)
         tols = [Fraction(1, 10), Fraction(1, 10**3), Fraction(1, 10**12)]
-        for g in range(2, 9):
-            for n in range(3, 201):
-                witnesses = set()
+        for g in range(0, 10):
+            for n in range(0, 201):
+                # of the candidates 2p+1 <= n <= 2p+4, the witness is the largest
+                # qualifying one and the rest that do not qualify are pruned
+                window = [p for p in range(n) if 2 * p + 1 <= n <= 2 * p + 4]
+                qualifying = [
+                    p for p in window
+                    if math.gcd(2 * g + 1, p + g + 1) == 1 and (g, p) not in ONE_PRONGED
+                ]
+                witness = max(qualifying, default=None)
+                pruned = tuple(p for p in window if p not in qualifying)
                 for tol in tols:
                     calls.clear()
-                    rec = family.bound_row(g, n, tol).record
-                    if rec is None:
-                        assert calls == []
+                    row = family.bound_row(g, n, tol)
+                    assert (row.witness_p, row.pruned_p) == (witness, pruned), (g, n)
+                    if witness is None:
+                        assert calls == [] and row.filled is row.bound is None
                     else:
-                        assert calls == [(rec.witness_p, tol, rec.bound)]
-                    witnesses.add(rec.witness_p if rec else None)
-                assert len(witnesses) == 1, (g, n, witnesses)
+                        assert calls == [(witness, tol, row.bound)]
 
     def test_parallel_matches_sequential(self):
         seq = upper_bound_table(3, 3, 30, jobs=1)
@@ -347,4 +355,4 @@ def test_family_messages_name_the_argument():
     with pytest.raises(ValueError, match=r"^bound tables are stated for g >= 2$"):
         upper_bound_table(1, 3, 5)
     # g = 0 is a valid genus with no witness at n = 3
-    assert family.bound_row(0, 3).record is None
+    assert family.bound_row(0, 3).witness_p is None

@@ -19,6 +19,7 @@ from magicfiber import (
     SparsePoly,
     bound_row,
     dilatation_poly,
+    family_dilatation,
     fiber_data,
     make_poly,
     unique_root_gt1,
@@ -139,7 +140,7 @@ class TestPlainRecords:
         [
             lambda: unique_root_gt1(dilatation_poly((3, 1, -2)), Fraction(1, 10**20)),
             lambda: bound_row(2, 9),
-            lambda: bound_row(0, 3),  # no witness: record is None
+            lambda: bound_row(0, 3),  # no witness: witness_p, filled and bound are None
             lambda: _ratio_row(2, 100, Fraction(2), Fraction(4), Fraction(1, 10**12)),
         ],
         ids=["CertifiedRoot", "BoundRow", "BoundRow-empty", "RatioRow"],
@@ -148,3 +149,10 @@ class TestPlainRecords:
         rec = make()
         back = pickle.loads(pickle.dumps(rec))
         assert back == rec and type(back) is type(rec)
+
+    def test_bound_row_shapes(self):
+        # the two BoundRow round trips above cover a row with a witness and one without
+        row = bound_row(2, 9)
+        assert row._fields == ("n", "witness_p", "filled", "bound", "pruned_p")
+        assert row == (9, 4, ("alpha", "gamma"), family_dilatation(2, 4), ())
+        assert bound_row(0, 3) == (3, None, None, None, (0, 1))

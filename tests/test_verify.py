@@ -30,7 +30,7 @@ def _shifted_root(orig):
 
 def _no_witness(orig):
     def table(*args, **kwargs):
-        return [row._replace(record=None) for row in orig(*args, **kwargs)]
+        return [row._replace(witness_p=None, filled=None, bound=None) for row in orig(*args, **kwargs)]
 
     return table
 
@@ -40,9 +40,9 @@ def _smaller_p_witness(orig):
     def row(g, n, tol):
         r = orig(g, n, tol)
         p = (n - 1) // 2 - 1
-        if r.record is None or p < 0 or not family.family_class(g, p).primitive:
+        if r.witness_p is None or p < 0 or not family.family_class(g, p).primitive:
             return r
-        return r._replace(record=r.record._replace(witness_p=p))
+        return r._replace(witness_p=p)
 
     return row
 
@@ -63,7 +63,7 @@ def _spurious_gap(orig):
     def table(g, *args, **kwargs):
         rows = orig(g, *args, **kwargs)
         if g == 2:
-            rows[-1] = rows[-1]._replace(record=None)
+            rows[-1] = rows[-1]._replace(witness_p=None, filled=None, bound=None)
         return rows
 
     return table
