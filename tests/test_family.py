@@ -105,6 +105,17 @@ class TestNoOnePromg:
         with pytest.raises(NotPrimitiveError):
             no_one_prong(1, 1)  # gcd(3, 3) = 3
 
+    def test_matches_prong_data(self):
+        # prongs from the general fiber computation, not the family closed form
+        for g in range(0, 12):
+            for p in range(0, 12):
+                fc = family_class(g, p)
+                if not fc.primitive:
+                    continue
+                fd = fiber_data(fc.fibered_class)
+                expected = fd.prongs_alpha > 1 and fd.prongs_gamma > 1
+                assert no_one_prong(g, p) == expected
+
 
 class TestDilatation:
     def test_g2_p0_bracket(self):
