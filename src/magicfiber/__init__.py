@@ -45,7 +45,6 @@ _EXPORTS = {
     "unique_root_gt1": "roots",
     "STURM_DEGREE_CAP": "sturm",
     "sturm_count": "sturm",
-    "FamilyClass": "family",
     "BoundRow": "family",
     "family_class": "family",
     "family_fiber_data": "family",

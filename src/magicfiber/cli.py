@@ -131,6 +131,15 @@ def _root_cells(root, places) -> dict:
     )))
 
 
+def _class_cells(fc, fd, tol, max_bits) -> dict:
+    """The fiber, polynomial and root cells of a class in the open cone, with
+    fd its fiber data (None when it has none)."""
+    poly = dilatation_poly(fc)
+    root = unique_root_gt1(poly, tol, max_bits=max_bits)
+    return {**_fiber_cells(fd), "degree": poly.degree(), "poly": str(poly),
+            **_root_cells(root, _value_places(tol))}
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
@@ -249,34 +258,27 @@ def cmd_class(args):
                        "(needs a primitive class in the open cone); "
                        "use --norm-only to silence")
         else:
-            fd = fiber_data(fc)
-            poly = dilatation_poly(fc)
-            root = unique_root_gt1(poly, tol, max_bits=args.max_bits)
-            cells.update(_fiber_cells(fd), degree=poly.degree(), poly=str(poly),
-                         **_root_cells(root, _value_places(tol)))
+            cells.update(_class_cells(fc, fiber_data(fc), tol, args.max_bits))
     # A class without fiber data stops at the cells computed for it.
     columns = [c for c in COLUMNS["class"] if c in cells]
     return _record(args, inputs, columns, [cells]), outcome
 
 
 def cmd_family(args):
-    from .family import family_class, family_dilatation, family_fiber_data
+    from .family import family_class
 
     tol = _as_tol(args.tol)
-    places = _value_places(tol)
     check_tasks(args.p_max + 1)
     rows = []
     for p in range(args.p_max + 1):
         fc = family_class(args.genus, p)
-        root = family_dilatation(args.genus, p, tol, max_bits=args.max_bits)
-        fd = family_fiber_data(args.genus, p) if fc.primitive else None
+        primitive = is_primitive(fc)
         rows.append({
             "p": p,
-            **fc.fibered_class._asdict(),
-            "primitive": fc.primitive,
-            "norm": thurston_norm(fc.fibered_class),
-            **_fiber_cells(fd),
-            **_root_cells(root, places),
+            **fc._asdict(),
+            "primitive": primitive,
+            "norm": thurston_norm(fc),
+            **_class_cells(fc, fiber_data(fc) if primitive else None, tol, args.max_bits),
         })
     inputs = {"g": args.genus, "p_max": args.p_max}
     return _record(args, inputs, COLUMNS["family"], rows), 0

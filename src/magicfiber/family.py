@@ -1,7 +1,10 @@
 """The two-parameter family of fibered classes and the bound tables.
 
-For g, p >= 0 the class (p+g+1, 2p+1, p-g) lies in the open fibered cone;
-when it is primitive (gcd(2g+1, p+g+1) = 1) its fiber is a genus-g surface
+For g, p >= 0 the class (p+g+1, 2p+1, p-g) lies in the open fibered cone.
+``family_class`` returns it as a plain ``FiberedClass``, and
+``homology.is_primitive`` decides its primitivity, as for any class: with
+x - z = 2g+1 and y = 2x - (2g+1), gcd(x, y, z) = gcd(2g+1, p+g+1).
+When it is primitive its fiber is a genus-g surface
 with 2p+4 boundary components, most of them (2p+1, each 1-pronged) on the
 second cusp torus.  Capping the fiber boundaries on the other two cusps is
 dilatation-preserving whenever none of them is 1-pronged.  ``no_one_prong``
@@ -46,7 +49,7 @@ import math
 import os
 from typing import NamedTuple
 
-from .homology import FiberData, FiberedClass, NotPrimitiveError, _int_arg
+from .homology import FiberData, FiberedClass, NotPrimitiveError, _int_arg, is_primitive
 from .polynomials import family_poly
 from .roots import (
     DEFAULT_MAX_BITS,
@@ -58,7 +61,6 @@ from .roots import (
 )
 
 __all__ = [
-    "FamilyClass",
     "BoundRow",
     "family_class",
     "family_fiber_data",
@@ -71,13 +73,6 @@ __all__ = [
     "bound_row",
     "upper_bound_table",
 ]
-
-class FamilyClass(NamedTuple):
-    g: int
-    p: int
-    fibered_class: FiberedClass
-    primitive: bool
-
 
 class BoundRow(NamedTuple):
     """One table cell: the certified entry "delta_{g,n} <= bound" with its
@@ -95,21 +90,11 @@ class BoundRow(NamedTuple):
     pruned_p: tuple[int, ...]
 
 
-def family_class(g: int, p: int) -> FamilyClass:
+def family_class(g: int, p: int) -> FiberedClass:
     """The class (p+g+1, 2p+1, p-g), always in the open cone."""
     _int_arg(g, "genus g")
     _int_arg(p, "p")
-    cls = FiberedClass(p + g + 1, 2 * p + 1, p - g)
-    return FamilyClass(
-        g=g, p=p, fibered_class=cls, primitive=math.gcd(2 * g + 1, p + g + 1) == 1
-    )
-
-
-def _require_primitive(g: int, p: int) -> None:
-    # family_class owns the primitivity of (g, p), so every path reads it there
-    if not family_class(g, p).primitive:
-        d = math.gcd(2 * g + 1, p + g + 1)
-        raise NotPrimitiveError(f"(g, p) = ({g}, {p}): gcd(2g+1, p+g+1) = {d} != 1")
+    return FiberedClass(p + g + 1, 2 * p + 1, p - g)
 
 
 def family_fiber_data(g: int, p: int) -> FiberData:
@@ -118,7 +103,9 @@ def family_fiber_data(g: int, p: int) -> FiberData:
     Genus g with 2p+4 boundary components; the parity of p+g decides which
     of the two remaining cusps carries 1 versus 2 of them.
     """
-    _require_primitive(g, p)
+    if not is_primitive(family_class(g, p)):
+        d = math.gcd(2 * g + 1, p + g + 1)
+        raise NotPrimitiveError(f"(g, p) = ({g}, {p}): gcd(2g+1, p+g+1) = {d} != 1")
     if (p + g) % 2 == 1:
         ba, bg = 2, 1
         pa, pg = (p + g + 1) // 2, p + 3 * g + 2
@@ -246,7 +233,7 @@ def bound_row(g: int, n: int, tol=DEFAULT_TOL) -> BoundRow:
     tol = _as_tol(tol)
     top = (n - 1) // 2  # the p >= 0 with 2p+1 <= n <= 2p+4 are top - 1 and top
     ps = [p for p in (top - 1, top) if p >= 0]
-    pruned = tuple(p for p in ps if not family_class(g, p).primitive or not no_one_prong(g, p))
+    pruned = tuple(p for p in ps if not is_primitive(family_class(g, p)) or not no_one_prong(g, p))
     p = max(set(ps) - set(pruned), default=None)
     if p is None:
         return BoundRow(n, None, None, None, pruned)

@@ -184,11 +184,10 @@ def suite_topology(max_norm: int = 60, max_gp: int = 60) -> SuiteResult:
     pairs = 0
     for g in range(max_gp + 1):
         for p in range(max_gp + 1):
-            fc = family.family_class(g, p)
-            if not fc.primitive:
+            if math.gcd(2 * g + 1, p + g + 1) != 1:
                 continue
             pairs += 1
-            fd = _fiber_data(tuple(fc.fibered_class), failures)
+            fd = _fiber_data(tuple(family.family_class(g, p)), failures)
             if fd is not None and family.family_fiber_data(g, p) != fd:
                 failures.append(f"(g,p)=({g},{p}): closed form disagrees")
     return _result(
@@ -322,10 +321,11 @@ def suite_bounds(
     ``upper_bound_table`` has the largest primitive candidate p (with
     2p+1 <= n <= 2p+4) as its witness, and the table has a no-witness row
     iff condition (*) fails.  The suite decides primitivity itself, by
-    gcd(2g+1, p+g+1) = 1, so a wrong ``family_class`` shows as a wrong
-    witness.  Monotonicity: the certified brackets of the table's distinct
-    witnesses are strictly ordered, lambda_q < lambda_p for witnesses
-    p < q; a pair the brackets cannot separate fails.  Every
+    gcd(2g+1, p+g+1) = 1, so a wrong class or primitivity test in
+    ``family`` shows as a wrong witness.  Monotonicity: the certified
+    brackets of the table's distinct witnesses are strictly ordered,
+    lambda_q < lambda_p for witnesses p < q; a pair the brackets cannot
+    separate fails.  Every
     primitive p >= 1 up to (n_max - 1) // 2 is a witness, so the pairs
     cover both candidates of each row where both qualify, but for p = 0 at
     n = 3, 4.  The range 3..500 holds a full period 2(2g+1) of n for every

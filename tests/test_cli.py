@@ -3,6 +3,7 @@
 import concurrent.futures
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 
 import magicfiber
 from magicfiber import FiberedClass, dilatation_poly, unique_root_gt1
-from magicfiber.cli import dyadic_decimal, main, round_decimal
+from magicfiber.cli import COLUMNS, dyadic_decimal, main, round_decimal
 from decimal import Decimal
 from fractions import Fraction
 
@@ -161,6 +162,30 @@ class TestBoundsCommand:
         code, out = run_cli("bounds", "-g", "7", "-n", "5..6", "--format", "csv")
         assert code == 0
         assert out.count("no_witness") == 2
+
+
+class TestFamilyCommand:
+    @pytest.mark.parametrize("g", [0, 1, 2, 7])
+    def test_rows_equal_the_class_rows(self, g):
+        code, out = run_cli("family", "-g", str(g), "--p-max", "6", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["p"] for row in rows] == list(range(7))
+        for p, row in enumerate(rows):
+            if math.gcd(2 * g + 1, p + g + 1) != 1:
+                continue
+            xyz = (p + g + 1, 2 * p + 1, p - g)
+            code, out = run_cli("class", *map(str, xyz), "--format", "json")
+            assert code == 0
+            want = json.loads(out)["rows"][0]
+            shared = [c for c in COLUMNS["family"] if c in want]
+            assert shared == COLUMNS["family"][1:]
+            assert {c: row[c] for c in shared} == {c: want[c] for c in shared}, (g, p)
+
+    def test_max_bits_reaches_the_root_finder(self):
+        argv = ("family", "-g", "2", "--p-max", "2", "--tol", "1e-50")
+        assert run_cli(*argv, "--max-bits", "128") == (3, "")
+        assert run_cli(*argv)[0] == 0
 
 
 class TestJsonRoundTrip:

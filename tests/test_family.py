@@ -7,6 +7,7 @@ import pytest
 
 from magicfiber import family, roots
 from magicfiber import (
+    FiberedClass,
     NotPrimitiveError,
     condition_star,
     condition_star_brute,
@@ -17,6 +18,8 @@ from magicfiber import (
     family_poly,
     fiber_data,
     filled_variants,
+    in_fibered_cone,
+    is_primitive,
     no_one_prong,
     unique_root_gt1,
     upper_bound_table,
@@ -29,35 +32,31 @@ ONE_PRONGED = {(0, 0), (0, 1), (1, 0)}
 class TestFamilyClass:
     def test_g2_p0(self):
         fc = family_class(2, 0)
-        assert tuple(fc.fibered_class) == (3, 1, -2)
-        assert fc.primitive
+        assert type(fc) is FiberedClass and tuple(fc) == (3, 1, -2)
+        assert is_primitive(fc)
 
     def test_g2_p2_not_primitive(self):
         fc = family_class(2, 2)
-        assert tuple(fc.fibered_class) == (5, 5, 0)
-        assert not fc.primitive
+        assert type(fc) is FiberedClass and tuple(fc) == (5, 5, 0)
+        assert not is_primitive(fc)
 
     def test_always_in_cone(self):
-        from magicfiber import in_fibered_cone
-
         for g in range(0, 12):
             for p in range(0, 12):
-                assert in_fibered_cone(family_class(g, p).fibered_class)
+                assert in_fibered_cone(family_class(g, p))
 
     def test_primitive_sequence(self):
         # p_i = (g+1) + (2g+1) i is primitive for every i
         for g in range(0, 15):
             for i in range(0, 15):
                 p = (g + 1) + (2 * g + 1) * i
-                assert family_class(g, p).primitive
+                assert is_primitive(family_class(g, p))
 
     def test_primitivity_matches_gcd_of_coords(self):
-        from magicfiber import is_primitive
-
+        # the closed form of the family module docstring
         for g in range(0, 25):
             for p in range(0, 25):
-                fc = family_class(g, p)
-                assert fc.primitive == is_primitive(fc.fibered_class)
+                assert is_primitive(family_class(g, p)) == (math.gcd(2 * g + 1, p + g + 1) == 1)
 
 
 class TestClosedForm:
@@ -77,8 +76,8 @@ class TestClosedForm:
         for g in range(0, 30):
             for p in range(0, 30):
                 fc = family_class(g, p)
-                if fc.primitive:
-                    assert family_fiber_data(g, p) == fiber_data(fc.fibered_class)
+                if is_primitive(fc):
+                    assert family_fiber_data(g, p) == fiber_data(fc)
 
     def test_not_primitive_rejected(self):
         with pytest.raises(NotPrimitiveError):
@@ -110,9 +109,9 @@ class TestNoOnePromg:
         for g in range(0, 12):
             for p in range(0, 12):
                 fc = family_class(g, p)
-                if not fc.primitive:
+                if not is_primitive(fc):
                     continue
-                fd = fiber_data(fc.fibered_class)
+                fd = fiber_data(fc)
                 expected = fd.prongs_alpha > 1 and fd.prongs_gamma > 1
                 assert no_one_prong(g, p) == expected
 
@@ -151,7 +150,7 @@ class TestFilledVariants:
     def test_covers_window(self):
         for g in range(2, 12):
             for p in range(0, 12):
-                if not family_class(g, p).primitive:
+                if not is_primitive(family_class(g, p)):
                     continue
                 ns = sorted(n for n, _ in filled_variants(g, p))
                 assert ns == [2 * p + 1, 2 * p + 2, 2 * p + 3, 2 * p + 4]

@@ -40,7 +40,7 @@ def _smaller_p_witness(orig):
     def row(g, n, tol):
         r = orig(g, n, tol)
         p = (n - 1) // 2 - 1
-        if r.witness_p is None or p < 0 or not family.family_class(g, p).primitive:
+        if r.witness_p is None or p < 0 or not homology.is_primitive(family.family_class(g, p)):
             return r
         return r._replace(witness_p=p)
 
@@ -48,9 +48,9 @@ def _smaller_p_witness(orig):
 
 
 def _calls_7_4_primitive(orig):
-    # gcd(2g+1, p+g+1) = gcd(15, 12) = 3, yet the class reads as primitive,
-    # so p = 4 wins the rows n = 9 and 10 of g = 7
-    return lambda g, p: orig(g, p)._replace(primitive=True) if (g, p) == (7, 4) else orig(g, p)
+    # family_class(7, 4) = (12, 9, -3) has gcd(2g+1, p+g+1) = gcd(15, 12) = 3,
+    # yet it reads as primitive, so p = 4 wins the rows n = 9 and 10 of g = 7
+    return lambda c: tuple(c) == (12, 9, -3) or orig(c)
 
 
 def _not_decreasing(orig):
@@ -257,7 +257,7 @@ CASES = [
         "g=2: no witness for n in [12], yet (*) holds", id="bounds-spurious-gap",
     ),
     pytest.param(
-        "bounds", family, "family_class", _calls_7_4_primitive,
+        "bounds", family, "is_primitive", _calls_7_4_primitive,
         "g=7, n=9: witness p=4, largest qualifying p=3", id="bounds-primitivity",
     ),
 ]
